@@ -157,13 +157,15 @@ void FleetEngine::note_shard_peaks(Shard& sh) {
 }
 
 void FleetEngine::note_peaks(Shard& sh) {
-  report_.peak_active = std::max(report_.peak_active, active_);
   report_.peak_cpu_demand = std::max(
       report_.peak_cpu_demand,
       sh.cpu_demand / static_cast<double>(sh.host->spec().cpu_threads));
-
   note_shard_peaks(sh);
+  note_fleet_peaks();
+}
 
+void FleetEngine::note_fleet_peaks() {
+  report_.peak_active = std::max(report_.peak_active, active_);
   if (peak_audit_) {
     // Summed reference form the incremental counters replaced; any drift
     // between the two is a bookkeeping bug, latched for the test to see.
@@ -466,50 +468,52 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   return arrival + total;
 }
 
-void FleetEngine::handle_boot_phys(Tenant& t, const Scenario& s) {
+// --- Shard-local events ------------------------------------------------------
+//
+// Run by both loops: the sequential loop on the live queue, a parallel
+// window on a worker thread. A handler touches only its tenant, its shard
+// and the shard's host models; everything fleet-global goes into `fx`.
+
+void FleetEngine::handle_local(Tenant& t, const Scenario& s, Effects& fx) {
   Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  const sim::Nanos done = boot_physics(sh, t, s, t.boot_factor);
-  queue_.push(done, t.id, EventKind::kBootDone, t.epoch);
+  switch (fx.kind) {
+    case EventKind::kBootPhys:
+      fx.schedule(EventKind::kBootDone, boot_physics(sh, t, s, t.boot_factor));
+      break;
+    case EventKind::kBootDone:
+      handle_boot_done(sh, t, s, fx);
+      break;
+    case EventKind::kPhaseDone:
+      handle_phase_done(sh, t, s, fx);
+      break;
+    case EventKind::kProgramStep:
+      handle_program_step(sh, t, s, fx);
+      break;
+    case EventKind::kTeardown:
+      handle_teardown(sh, t, s, fx);
+      break;
+    default:
+      break;  // coordinator kinds never reach a shard-local handler
+  }
 }
 
-void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
+void FleetEngine::handle_boot_done(Shard& sh, Tenant& t, const Scenario& s,
+                                   Effects& fx) {
   sh.cpu_demand -= kBootVcpus;
   t.in_flight = Tenant::InFlight::kNone;
-  // One string-keyed lookup per *platform id* per run, here; boots reuse
-  // the id-indexed slot and phases the per-tenant pointer. Creating the
-  // entry lazily (not at tenant setup) keeps platforms whose tenants never
-  // booted out of the report table.
-  PlatformFleetStats*& slot =
-      stats_by_id_[static_cast<std::size_t>(t.platform_id)];
-  if (slot == nullptr) {
-    slot = &report_.by_platform[t.platform->name()];
-    slot->platform = t.platform->name();
-  }
-  auto& stats = *slot;
-  t.stats = &stats;
-  const bool first_boot = !t.counted_in_stats;
-  if (first_boot) {
-    // Distinct tenants, not boots: churn re-arrivals add boot/phase
-    // samples but must not inflate the fleet-composition column.
-    ++stats.tenants;
-    t.counted_in_stats = true;
-  }
-  stats.boot_ms.add(sim::to_millis(t.outcome.boot_latency));
-  report_.cluster_boot_ms.add(sim::to_millis(t.outcome.boot_latency));
+  // Distinct tenants, not boots: churn re-arrivals add boot/phase samples
+  // but must not inflate the fleet-composition column.
+  fx.count_tenant = !t.counted_in_stats;
+  t.counted_in_stats = true;
+  fx.sample_ms = sim::to_millis(t.outcome.boot_latency);
   if (t.crash_fault >= 0) {
     // Recovery resolved: the victim is serving again on a survivor.
     // Time-to-re-place runs from the crash instant to this boot finishing.
     // Re-admission is counted here, not at the admitting arrival, so a
     // victim drain-migrated between admission and boot counts once.
-    const double ms = sim::to_millis(
+    fx.recovery_fault = t.crash_fault;
+    fx.recovery_ms = sim::to_millis(
         t.clock.now() - faults_[static_cast<std::size_t>(t.crash_fault)].time);
-    auto& rv = report_.recovery[static_cast<std::size_t>(
-        recovery_slot_[static_cast<std::size_t>(t.crash_fault)])];
-    rv.replace_ms.add(ms);
-    ++rv.readmitted;
-    ++report_.crash_readmitted;
-    report_.replace_ms.add(ms);
     t.crash_fault = -1;
   }
 
@@ -518,46 +522,41 @@ void FleetEngine::handle_boot_done(Tenant& t, const Scenario& s) {
     // statistical phases. The cursor is reset at *every* boot completion:
     // a crash or drain loses the in-flight cursor, and the re-admitted
     // tenant starts its program over from the top.
-    const SyscallProgram& prog = builtin_program(t.program);
-    ProgramFleetStats*& pslot =
-        pstats_by_id_[static_cast<std::size_t>(t.program)];
-    if (pslot == nullptr) {
-      pslot = &report_.by_program[prog.name];
-      pslot->program = prog.name;
-    }
-    t.pstats = pslot;
-    if (first_boot) {
-      ++pslot->tenants;
-    }
     t.prog_op = 0;
-    t.prog_loops_left = std::max(1, prog.loops);
-    start_program_op(t, s);
-    return;
+    t.prog_loops_left = std::max(1, builtin_program(t.program).loops);
+    start_program_op(sh, t, s, fx);
+  } else if (t.phases.empty()) {
+    fx.schedule(EventKind::kTeardown, t.clock.now());
+  } else {
+    start_phase(sh, t, t.phases[static_cast<std::size_t>(t.next_phase)], s,
+                fx);
   }
-
-  if (t.phases.empty()) {
-    queue_.push(t.clock.now(), t.id, EventKind::kTeardown, t.epoch);
-    return;
-  }
-  start_phase(t, t.phases[static_cast<std::size_t>(t.next_phase)], s);
 }
 
-void FleetEngine::start_phase(Tenant& t, platforms::WorkloadClass w,
-                              const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  sh.cpu_demand += workload_vcpus(w);
-  if (w == WorkloadClass::kNetwork) {
+void FleetEngine::charge_start(Shard& sh, Tenant& t, double vcpus,
+                               bool network, Tenant::InFlight what,
+                               Effects& fx) {
+  sh.cpu_demand += vcpus;
+  if (network) {
     ++sh.net_active;
   }
-  t.in_flight = Tenant::InFlight::kPhase;
-  note_peaks(sh);
+  t.in_flight = what;
+  note_shard_peaks(sh);
+  fx.start_cpu_ratio =
+      sh.cpu_demand / static_cast<double>(sh.host->spec().cpu_threads);
   t.phase_start = t.clock.now();
-  t.clock.advance(phase_cost(t, w, s));
-  queue_.push(t.clock.now(), t.id, EventKind::kPhaseDone, t.epoch);
 }
 
-void FleetEngine::handle_phase_done(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
+void FleetEngine::start_phase(Shard& sh, Tenant& t, WorkloadClass w,
+                              const Scenario& s, Effects& fx) {
+  charge_start(sh, t, workload_vcpus(w), w == WorkloadClass::kNetwork,
+               Tenant::InFlight::kPhase, fx);
+  t.clock.advance(phase_cost(t, w, s));
+  fx.schedule(EventKind::kPhaseDone, t.clock.now());
+}
+
+void FleetEngine::handle_phase_done(Shard& sh, Tenant& t, const Scenario& s,
+                                    Effects& fx) {
   const WorkloadClass w = t.phases[static_cast<std::size_t>(t.next_phase)];
   sh.cpu_demand -= workload_vcpus(w);
   if (w == WorkloadClass::kNetwork) {
@@ -565,41 +564,40 @@ void FleetEngine::handle_phase_done(Tenant& t, const Scenario& s) {
   }
   t.in_flight = Tenant::InFlight::kNone;
   t.platform->record_workload(w, t.rng);  // this host's HAP window
-  t.stats->phase_ms.add(sim::to_millis(t.clock.now() - t.phase_start));
+  fx.sample_ms = sim::to_millis(t.clock.now() - t.phase_start);
   ++t.next_phase;
   ++t.outcome.phases_run;
 
   if (t.next_phase < static_cast<int>(t.phases.size())) {
-    start_phase(t, t.phases[static_cast<std::size_t>(t.next_phase)], s);
+    start_phase(sh, t, t.phases[static_cast<std::size_t>(t.next_phase)], s,
+                fx);
     return;
   }
+  schedule_exit(t, fx);
+}
+
+void FleetEngine::schedule_exit(Tenant& t, Effects& fx) {
   // Teardown costs one more trace-visible startup-class interaction.
   t.platform->record_workload(WorkloadClass::kStartup, t.rng);
   t.clock.advance(sim::millis(t.rng.uniform(2.0, 8.0)));
-  queue_.push(t.clock.now(), t.id, EventKind::kTeardown, t.epoch);
+  fx.schedule(EventKind::kTeardown, t.clock.now());
 }
 
-void FleetEngine::start_program_op(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  const SyscallProgram& prog = builtin_program(t.program);
-  const ProgramOp& op = prog.ops[static_cast<std::size_t>(t.prog_op)];
+void FleetEngine::start_program_op(Shard& sh, Tenant& t, const Scenario& s,
+                                   Effects& fx) {
+  const ProgramOp& op =
+      builtin_program(t.program).ops[static_cast<std::size_t>(t.prog_op)];
   const OpClass cls = op_class(op.sc);
   t.prog_vcpus = op_vcpus(cls);
-  sh.cpu_demand += t.prog_vcpus;
-  if (cls == OpClass::kNetwork) {
-    ++sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kProgram;
-  note_peaks(sh);
-  t.phase_start = t.clock.now();
+  charge_start(sh, t, t.prog_vcpus, cls == OpClass::kNetwork,
+               Tenant::InFlight::kProgram, fx);
   // Service time excludes the think gap: the op-latency sample the report
   // percentiles come from is the modeled syscall (plus any retry timeouts
   // and backoffs), not the idle wait.
-  const OpIssue issue = issue_program_op(t, op, s);
-  t.prog_service = issue.service;
-  note_op_outcome(t.id, issue);
+  fx.issue = issue_program_op(t, op, s);
+  t.prog_service = fx.issue.service;
   t.clock.advance(op.think);
-  queue_.push(t.clock.now(), t.id, EventKind::kProgramStep, t.epoch);
+  fx.schedule(EventKind::kProgramStep, t.clock.now());
 }
 
 FleetEngine::OpIssue FleetEngine::issue_program_op(Tenant& t,
@@ -614,7 +612,7 @@ FleetEngine::OpIssue FleetEngine::issue_program_op(Tenant& t,
   const bool can_retry = degraded_accounting_ && max_retries > 0 && slo > 0;
 
   OpImpact first{};
-  sim::Nanos cost = program_op_cost(t, op, s, &first);
+  sim::Nanos cost = program_op_cost(t, op, &first);
   issue.fault = first.fault;
   // Undisturbed first-attempt cost: the baseline the issue's added-latency
   // sample is judged against.
@@ -634,7 +632,7 @@ FleetEngine::OpIssue FleetEngine::issue_program_op(Tenant& t,
     elapsed += slo + backoff;
     ++issue.retries;
     OpImpact again{};
-    cost = program_op_cost(t, op, s, &again);
+    cost = program_op_cost(t, op, &again);
     if (issue.fault < 0) {
       issue.fault = again.fault;
     }
@@ -681,9 +679,7 @@ void FleetEngine::note_op_outcome(std::uint64_t tenant_id,
 }
 
 sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
-                                        const Scenario& s,
                                         OpImpact* impact) {
-  (void)s;
   Shard& sh = shards_[static_cast<std::size_t>(t.host)];
   // The kernel charge is the first-class part: every op dispatches through
   // HostKernel::invoke, so programs light up the same ftrace/HAP machinery
@@ -807,8 +803,8 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
   return total;
 }
 
-void FleetEngine::handle_program_step(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
+void FleetEngine::handle_program_step(Shard& sh, Tenant& t, const Scenario& s,
+                                      Effects& fx) {
   const SyscallProgram& prog = builtin_program(t.program);
   const ProgramOp& op = prog.ops[static_cast<std::size_t>(t.prog_op)];
   const OpClass cls = op_class(op.sc);
@@ -817,26 +813,23 @@ void FleetEngine::handle_program_step(Tenant& t, const Scenario& s) {
     --sh.net_active;
   }
   t.in_flight = Tenant::InFlight::kNone;
-  auto& pcls = t.pstats->by_class[static_cast<std::size_t>(cls)];
-  pcls.ops += op.repeat;
-  pcls.op_ms.add(sim::to_millis(t.prog_service));
+  fx.prog_class = static_cast<std::uint8_t>(cls);
+  fx.prog_ops = op.repeat;
+  fx.sample_ms = sim::to_millis(t.prog_service);
   ++t.outcome.phases_run;
 
   ++t.prog_op;
   if (t.prog_op < static_cast<int>(prog.ops.size())) {
-    start_program_op(t, s);
+    start_program_op(sh, t, s, fx);
     return;
   }
   t.prog_op = 0;
   if (--t.prog_loops_left > 0) {
-    start_program_op(t, s);
+    start_program_op(sh, t, s, fx);
     return;
   }
-  // Teardown costs one more trace-visible startup-class interaction, same
-  // as a statistical tenant's exit.
-  t.platform->record_workload(WorkloadClass::kStartup, t.rng);
-  t.clock.advance(sim::millis(t.rng.uniform(2.0, 8.0)));
-  queue_.push(t.clock.now(), t.id, EventKind::kTeardown, t.epoch);
+  // Same exit as a statistical tenant's.
+  schedule_exit(t, fx);
 }
 
 void FleetEngine::release_core(Shard& sh, Tenant& t) {
@@ -908,13 +901,20 @@ void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
                                   sh.tenants_by_platform[id]);
 }
 
-void FleetEngine::handle_teardown(Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  release_tenant(sh, t);
+void FleetEngine::handle_teardown(Shard& sh, Tenant& t, const Scenario& s,
+                                  Effects& fx) {
+  // Shard-local release now; the fleet-global half (active_, fleet
+  // counters, placement notification) is applied from the record.
+  const FleetDelta before = fleet_before(sh);
+  release_core(sh, t);
+  const FleetDelta after = fleet_before(sh);
+  fx.delta = FleetDelta{after.resident - before.resident,
+                        after.advised - before.advised,
+                        after.backing - before.backing,
+                        after.shared - before.shared};
   t.outcome.completed = true;
   t.outcome.completion = t.clock.now();
   ++t.outcome.rounds_completed;
-  ++report_.completed;
 
   if (t.rounds_left > 0) {
     // Churn: idle out the gap, then re-enter the fleet. Placement and
@@ -929,8 +929,125 @@ void FleetEngine::handle_teardown(Tenant& t, const Scenario& s) {
     t.outcome.boot_latency = 0;
     t.outcome.completion = 0;
     t.outcome.completed = false;
-    ++report_.churn_rearrivals;
-    queue_.push(t.clock.now(), t.id, EventKind::kArrival, t.epoch);
+    fx.schedule(EventKind::kArrival, t.clock.now());
+  }
+}
+
+void FleetEngine::apply_effects(const Effects& fx, ShardTask* replay) {
+  // The sequential loop applies a record right after its handler
+  // (replay == nullptr); a parallel window replays its records later, in
+  // merged (time, seq) order (replay = the record's shard task). The two
+  // differ in exactly three places, marked (1)-(3):
+  //  (1) Sequence numbers. Apply-now pushes the follow-up event with
+  //      queue_.push; replay issues the same seq with reserve_seqs and
+  //      maps it through `born` when the event stays inside the window.
+  //  (2) The global half of note_peaks. Apply-now runs note_fleet_peaks
+  //      (peak_active, the fleet-resident snapshot, the peak_audit_ check)
+  //      at every phase and op start; replay only folds the start's CPU
+  //      ratio. Inside a window peak_active cannot rise (only arrivals
+  //      raise active_) and fleet residency only shrinks, so the skipped
+  //      checks could not have moved the report.
+  //  (3) Placement notification. Apply-now calls notify_platform_count and
+  //      publish_host per event; a window coalesces them into one push per
+  //      touched shard at its end (replay_window).
+  Tenant& t = tenants_[fx.tenant];
+  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
+  switch (fx.kind) {
+    case EventKind::kBootDone: {
+      // One string-keyed lookup per *platform id* per run, here; boots
+      // reuse the id-indexed slot and phases the per-tenant pointer.
+      // Creating the entry lazily (not at tenant setup) keeps platforms
+      // whose tenants never booted out of the report table.
+      PlatformFleetStats*& slot =
+          stats_by_id_[static_cast<std::size_t>(t.platform_id)];
+      if (slot == nullptr) {
+        slot = &report_.by_platform[t.platform->name()];
+        slot->platform = t.platform->name();
+      }
+      t.stats = slot;
+      if (fx.count_tenant) {
+        ++slot->tenants;
+      }
+      slot->boot_ms.add(fx.sample_ms);
+      report_.cluster_boot_ms.add(fx.sample_ms);
+      if (t.program >= 0) {
+        // A tenant's kBootDone applies before its program steps (same
+        // shard stream, earlier time/seq), so pstats is resolved in time.
+        ProgramFleetStats*& pslot =
+            pstats_by_id_[static_cast<std::size_t>(t.program)];
+        if (pslot == nullptr) {
+          pslot = &report_.by_program[builtin_program(t.program).name];
+          pslot->program = builtin_program(t.program).name;
+        }
+        t.pstats = pslot;
+        if (fx.count_tenant) {
+          ++pslot->tenants;
+        }
+      }
+      if (fx.recovery_fault >= 0) {
+        auto& rv = report_.recovery[static_cast<std::size_t>(
+            recovery_slot_[static_cast<std::size_t>(fx.recovery_fault)])];
+        rv.replace_ms.add(fx.recovery_ms);
+        ++rv.readmitted;
+        ++report_.crash_readmitted;
+        report_.replace_ms.add(fx.recovery_ms);
+      }
+      break;
+    }
+    case EventKind::kPhaseDone:
+      t.stats->phase_ms.add(fx.sample_ms);
+      break;
+    case EventKind::kProgramStep: {
+      auto& pcls = t.pstats->by_class[fx.prog_class];
+      pcls.ops += fx.prog_ops;
+      pcls.op_ms.add(fx.sample_ms);
+      break;
+    }
+    case EventKind::kTeardown:
+      fleet_resident_ += fx.delta.resident;
+      fleet_ksm_advised_ += fx.delta.advised;
+      fleet_ksm_backing_ += fx.delta.backing;
+      fleet_ksm_shared_ += fx.delta.shared;
+      --active_;
+      ++report_.completed;
+      if (fx.gen) {
+        ++report_.churn_rearrivals;  // a teardown only schedules re-arrivals
+      }
+      if (replay == nullptr) {  // (3)
+        notify_platform_count(sh, t.platform_id);
+      } else {
+        replay->counts_touched.push_back(t.platform_id);
+      }
+      break;
+    default:
+      break;  // kBootPhys: only its follow-up event is global
+  }
+  // The op this event started, if any; a default issue is a no-op.
+  note_op_outcome(fx.tenant, fx.issue);
+  if (fx.start_cpu_ratio >= 0.0) {
+    report_.peak_cpu_demand =
+        std::max(report_.peak_cpu_demand, fx.start_cpu_ratio);
+    if (replay == nullptr) {  // (2)
+      note_fleet_peaks();
+    }
+  }
+  if (fx.gen) {  // (1)
+    if (replay == nullptr) {
+      queue_.push(fx.gen_time, fx.tenant, fx.gen_kind, t.epoch);
+    } else {
+      const std::uint64_t gseq = queue_.reserve_seqs(1);
+      if (birth_in_window(fx)) {
+        replay->born.push_back(gseq);  // stream order = provisional numbering
+      } else {
+        queue_.push_at_seq(fx.gen_time, gseq, fx.tenant, fx.gen_kind,
+                           t.epoch);
+      }
+    }
+  }
+  if (replay == nullptr) {  // (3)
+    publish_host(sh);
+  } else {
+    replay->dirty = true;
   }
 }
 
@@ -1387,11 +1504,8 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
     handle_autoscale_eval(e.time, s);
     return;
   }
-  if (e.kind == EventKind::kHostCrash || e.kind == EventKind::kPartitionStart ||
-      e.kind == EventKind::kPartitionEnd ||
-      e.kind == EventKind::kDegradeStart ||
-      e.kind == EventKind::kDegradeEnd) {
-    handle_fault(e, s);
+  if (e.kind != EventKind::kArrival && !is_shard_local(e.kind)) {
+    handle_fault(e, s);  // every other coordinator kind is a fault boundary
     return;
   }
   Tenant& t = tenants_[e.tenant];
@@ -1399,42 +1513,18 @@ void FleetEngine::process_event(const Event& e, const Scenario& s,
     return;  // canceled by a drain migration; superseded lifecycle
   }
   last_event = e.time;  // makespan tracks tenant activity, not evals
-  switch (e.kind) {
-    case EventKind::kArrival:
-      handle_arrival(t, s);
-      break;
-    case EventKind::kBootPhys:
-      handle_boot_phys(t, s);
-      break;
-    case EventKind::kBootDone:
-      handle_boot_done(t, s);
-      break;
-    case EventKind::kPhaseDone:
-      handle_phase_done(t, s);
-      break;
-    case EventKind::kProgramStep:
-      handle_program_step(t, s);
-      break;
-    case EventKind::kTeardown:
-      handle_teardown(t, s);
-      break;
-    case EventKind::kHostEvent:
-    case EventKind::kAutoscaleEval:
-    case EventKind::kHostCrash:
-    case EventKind::kPartitionStart:
-    case EventKind::kPartitionEnd:
-    case EventKind::kDegradeStart:
-    case EventKind::kDegradeEnd:
-      break;  // handled above
+  if (e.kind != EventKind::kArrival) {
+    Effects fx(e);
+    handle_local(t, s, fx);
+    apply_effects(fx, nullptr);
+    return;
   }
-  if (incremental_placement_) {
-    // One state push for the shard this event touched. A rejected
-    // arrival changed nothing, so re-publishing the tenant's previous
-    // shard is a harmless (and cheap) no-op upsert.
-    publish_host(shards_[static_cast<std::size_t>(t.host)]);
-  }
-  if (e.kind == EventKind::kArrival &&
-      e.tenant == static_cast<std::uint64_t>(arrival_cursor_)) {
+  handle_arrival(t, s);
+  // One state push for the shard the arrival touched. A rejected arrival
+  // changed nothing, so re-publishing the tenant's previous shard is a
+  // harmless (and cheap) no-op upsert.
+  publish_host(shards_[static_cast<std::size_t>(t.host)]);
+  if (e.tenant == static_cast<std::uint64_t>(arrival_cursor_)) {
     // That was the cursor tenant's initial arrival (re-arrivals always
     // carry a smaller id): seed the next one — or, once the density
     // latch has tripped, reject the whole unseeded tail in bulk. Each

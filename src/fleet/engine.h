@@ -16,6 +16,17 @@
 // event queue keeps cross-host runs byte-reproducible. Single-host runs
 // are the M=1 special case and produce byte-identical reports to the
 // pre-cluster engine (pinned by tests/fleet_golden_test.cpp).
+//
+// Events are either coordinator events (arrivals, host events, autoscale
+// evals, fault boundaries), handled with direct access to fleet state, or
+// shard-local events (is_shard_local), each with exactly one handler. A
+// shard-local handler mutates only its tenant and shard and writes its
+// fleet-global effects into an Effects record; apply_effects folds the
+// record in. The sequential loop applies each record right after its
+// handler; the parallel loop (Scenario::threads > 1, engine_parallel.cpp)
+// runs the same handlers on worker threads and replays their records in
+// merged (time, seq) order, so both loops share one implementation of
+// every lifecycle feature.
 #pragma once
 
 #include <array>
@@ -173,12 +184,9 @@ class FleetEngine {
     double cpu_factor() const;
   };
 
-  // Lifecycle handlers.
+  /// Placement and admission for one (re-)arriving tenant: a coordinator
+  /// event, so it mutates fleet state directly.
   void handle_arrival(Tenant& t, const Scenario& s);
-  void handle_boot_phys(Tenant& t, const Scenario& s);
-  void handle_boot_done(Tenant& t, const Scenario& s);
-  void handle_phase_done(Tenant& t, const Scenario& s);
-  void handle_teardown(Tenant& t, const Scenario& s);
 
   /// The boot's shard-local physics: platform boot sampling, the image
   /// pull through the shard's page cache / NVMe, contention stretching by
@@ -195,19 +203,6 @@ class FleetEngine {
   /// horizon the parallel lane pipeline runs ahead on.
   static constexpr sim::Nanos kBootFloorNs = 50'000;
 
-  /// Begin tenant t's next workload phase: account its demand, charge its
-  /// cost, and schedule the completion event.
-  void start_phase(Tenant& t, platforms::WorkloadClass w, const Scenario& s);
-
-  /// Begin the program op at t.prog_op: account its demand, dispatch it
-  /// through the host kernel and the shard's device models, and schedule
-  /// the kProgramStep completion.
-  void start_program_op(Tenant& t, const Scenario& s);
-  /// One program op completed: release its demand, record the latency
-  /// sample into the per-program rollup, and advance the interpreter
-  /// cursor (next op, next loop, or the teardown path).
-  void handle_program_step(Tenant& t, const Scenario& s);
-
   /// How a degrade-family fault disturbed one op issue, reported by
   /// program_op_cost for DegradeVerdict attribution.
   struct OpImpact {
@@ -223,7 +218,7 @@ class FleetEngine {
   /// partition. Shard-local, so window workers may call it. `impact`
   /// (optional) receives the degrade attribution.
   sim::Nanos program_op_cost(Tenant& t, const ProgramOp& op,
-                             const Scenario& s, OpImpact* impact = nullptr);
+                             OpImpact* impact = nullptr);
 
   /// Outcome of one op *issue* (the retry loop around program_op_cost):
   /// how many re-issues it took, whether it still blew the SLO with
@@ -245,8 +240,7 @@ class FleetEngine {
   OpIssue issue_program_op(Tenant& t, const ProgramOp& op, const Scenario& s);
 
   /// Fold one issue's outcome into the fleet totals and its fault's
-  /// DegradeVerdict. Coordinator-only: the sequential path calls it from
-  /// start_program_op, the parallel path from replay_record.
+  /// DegradeVerdict. Coordinator-only: called from apply_effects.
   void note_op_outcome(std::uint64_t tenant_id, const OpIssue& issue);
 
   /// Admission control against the tenant's shard: would its resident set
@@ -275,8 +269,8 @@ class FleetEngine {
 
   /// Release everything tenant t currently charges against shard sh, plus
   /// the fleet-global bookkeeping (active_, placement notification, fleet
-  /// counters). Shared by teardown and drain migration on the sequential
-  /// path.
+  /// counters). Drain migration's release; a teardown releases through
+  /// release_core and its effect record.
   void release_tenant(Shard& sh, Tenant& t);
 
   // Mid-run topology changes.
@@ -305,7 +299,7 @@ class FleetEngine {
                              sim::Nanos duration) const;
   /// Recovery bookkeeping when a crash victim's re-arrival is rejected:
   /// the tenant is permanently lost. (Re-admission is counted where the
-  /// re-boot completes — handle_boot_done / replay_record — so a victim
+  /// re-boot completes — handle_boot_done's record — so a victim
   /// drain-migrated mid-recovery is never double-counted.)
   void note_crash_loss(Tenant& t);
 
@@ -314,12 +308,18 @@ class FleetEngine {
   sim::Nanos phase_cost(Tenant& t, platforms::WorkloadClass w,
                         const Scenario& s);
 
+  /// Peak bookkeeping after sh's demand or residency grew: the CPU-demand
+  /// ratio, the shard slice and the fleet slice below.
   void note_peaks(Shard& sh);
 
   /// Shard-local slice of note_peaks: the shard rollup's peak-active and
   /// peak-resident/KSM snapshot. Safe on window workers (one worker owns a
-  /// shard at a time); the fleet-global slice stays coordinator-only.
+  /// shard at a time).
   void note_shard_peaks(Shard& sh);
+
+  /// Fleet-global slice of note_peaks, coordinator-only: peak_active, the
+  /// fleet-resident/KSM snapshot, and the peak_audit_ check.
+  void note_fleet_peaks();
 
   /// Set up a freshly constructed or reset shard for this run: KSM tree,
   /// platform instances for the scenario mix, RAM cap, rollup identity.
@@ -403,11 +403,12 @@ class FleetEngine {
   /// zero-live-hosts check is O(1) instead of an O(M) scan.
   int live_hosts_ = 0;
 
-  /// Fleet-wide resident/KSM sums, maintained incrementally at the only
-  /// two mutation sites (admit and release_tenant) instead of re-summed
-  /// over every shard per admission — the last O(M)-per-admission piece.
-  /// Integer arithmetic, so note_peaks' peak snapshot is bit-identical to
-  /// the summed form (set_peak_audit checks exactly that).
+  /// Fleet-wide resident/KSM sums, maintained incrementally at every
+  /// mutation site (admission, release, a teardown's applied delta, crash
+  /// and memory pressure) instead of re-summed over every shard per
+  /// admission — the last O(M)-per-admission piece. Integer arithmetic, so
+  /// note_peaks' peak snapshot is bit-identical to the summed form
+  /// (set_peak_audit checks exactly that).
   std::uint64_t fleet_resident_ = 0;
   std::uint64_t fleet_ksm_advised_ = 0;
   std::uint64_t fleet_ksm_backing_ = 0;
@@ -425,11 +426,89 @@ class FleetEngine {
   bool peak_audit_ = false;
   bool peak_audit_failed_ = false;
 
+  // --- Shard-local events (is_shard_local; see the file comment) ----------
+
+  /// The fleet-global effects of one shard-local event.
+  struct Effects {
+    explicit Effects(const Event& e)
+        : time(e.time), seq(e.seq), tenant(e.tenant), kind(e.kind) {}
+
+    /// Record the handler's one follow-up event.
+    void schedule(EventKind k, sim::Nanos when) {
+      gen = true;
+      gen_kind = k;
+      gen_time = when;
+    }
+
+    sim::Nanos time = 0;
+    /// True global seq; inside a window, events born there carry a
+    /// provisional seq (>= win_seq_base_) until replay issues the real one.
+    std::uint64_t seq = 0;
+    std::uint64_t tenant = 0;
+    EventKind kind = EventKind::kArrival;
+    bool stale = false;         // epoch mismatch: counted, otherwise inert
+    bool count_tenant = false;  // first boot: ++platform/program tenants
+    bool gen = false;           // a follow-up event was scheduled
+    EventKind gen_kind = EventKind::kArrival;
+    sim::Nanos gen_time = 0;
+    double sample_ms = 0.0;     // boot_ms / phase_ms / program-op sample
+    /// kProgramStep: the finished op's class and repeat-expanded
+    /// invocation count; sample_ms carries its service latency.
+    std::uint8_t prog_class = 0;
+    std::uint32_t prog_ops = 0;
+    /// >= 0: the event started a phase or program op, and this is its
+    /// shard's CPU demand / threads right after the start charged it.
+    double start_cpu_ratio = -1.0;
+    FleetDelta delta{0, 0, 0, 0};  // teardown's fleet-counter deltas
+    /// Crash-recovery resolution carried by a victim's kBootDone: the
+    /// fault whose replace_ms gets `recovery_ms` (-1: none).
+    int recovery_fault = -1;
+    double recovery_ms = 0.0;
+    /// Retry ledger of the program op the event started, folded in by
+    /// note_op_outcome (a default issue folds nothing).
+    OpIssue issue;
+  };
+
+  struct ShardTask;
+
+  /// Run the handler for shard-local event fx.kind on tenant t.
+  void handle_local(Tenant& t, const Scenario& s, Effects& fx);
+  void handle_boot_done(Shard& sh, Tenant& t, const Scenario& s, Effects& fx);
+  void handle_phase_done(Shard& sh, Tenant& t, const Scenario& s,
+                         Effects& fx);
+  /// One program op completed: release its demand, record the latency
+  /// sample, and advance the interpreter cursor (next op, next loop, or
+  /// the exit path).
+  void handle_program_step(Shard& sh, Tenant& t, const Scenario& s,
+                           Effects& fx);
+  void handle_teardown(Shard& sh, Tenant& t, const Scenario& s, Effects& fx);
+
+  /// Begin tenant t's next workload phase: account its demand, charge its
+  /// cost, and schedule the completion event.
+  void start_phase(Shard& sh, Tenant& t, platforms::WorkloadClass w,
+                   const Scenario& s, Effects& fx);
+  /// Begin the program op at t.prog_op: account its demand, dispatch it
+  /// through the host kernel and the shard's device models (with retries),
+  /// and schedule the kProgramStep completion.
+  void start_program_op(Shard& sh, Tenant& t, const Scenario& s, Effects& fx);
+  /// Demand accounting shared by phase and op starts, plus the shard slice
+  /// of note_peaks; the fleet slice rides fx.start_cpu_ratio.
+  void charge_start(Shard& sh, Tenant& t, double vcpus, bool network,
+                    Tenant::InFlight what, Effects& fx);
+  /// A finished tenant's exit interaction, then its kTeardown.
+  void schedule_exit(Tenant& t, Effects& fx);
+
+  /// Fold a record's effects into the fleet. `replay` is null when the
+  /// sequential loop applies the record right after its handler, and the
+  /// record's shard task when a window replays it (see the definition for
+  /// the three places the two differ).
+  void apply_effects(const Effects& fx, ShardTask* replay);
+
   // --- Parallel execution (scenario.threads > 1, cluster runs) ------------
   //
   // Conservative parallel discrete-event simulation: shards only interact
-  // through placement/autoscale decisions, so between coordinator events
-  // (arrivals, host events, autoscale evals) each shard's events run on a
+  // through coordinator events (arrivals, host events, autoscale evals,
+  // fault boundaries), so between two of them each shard's events run on a
   // worker thread. Two mechanisms share one worker pool:
   //
   //  * Lanes: a deferred kBootPhys popped at the top level has its
@@ -437,10 +516,11 @@ class FleetEngine {
   //    computed asynchronously on the owning shard's lane; the coordinator
   //    keeps processing arrivals and harvests completed boots before the
   //    queue reaches them (kBootFloorNs is the provable safety horizon).
-  //  * Windows: runs of non-coordinator events are split into per-shard
-  //    sub-queues, drained concurrently with every global effect written
-  //    to a WorkerRecord, then replayed by the coordinator in merged
-  //    (time, seq) order — reproducing the sequential loop byte for byte.
+  //  * Windows: runs of shard-local events are split into per-shard
+  //    sub-queues and drained concurrently through the same handlers the
+  //    sequential loop runs, each event's Effects kept; the coordinator then
+  //    replays the records through apply_effects in merged (time, seq)
+  //    order — reproducing the sequential loop byte for byte.
 
   /// True once this run committed to the parallel loop.
   bool use_parallel(const Scenario& s) const;
@@ -455,70 +535,29 @@ class FleetEngine {
                          const std::vector<sim::Nanos>& arrivals,
                          sim::Nanos& last_event);
 
-  /// One shard-local event executed off the coordinator. Global effects
-  /// are deferred here and applied during replay in merged order; `seq` is
-  /// the true global seq for extracted events, or a provisional seq
-  /// (>= win_seq_base_) for events born inside the window.
-  struct WorkerRecord {
-    sim::Nanos time = 0;
-    std::uint64_t seq = 0;
-    std::uint64_t tenant = 0;
-    EventKind kind = EventKind::kArrival;
-    bool stale = false;         // epoch mismatch: counted, otherwise inert
-    bool count_tenant = false;  // first boot: ++platform tenant count
-    bool gen = false;           // handler scheduled one follow-up event
-    EventKind gen_kind = EventKind::kArrival;
-    sim::Nanos gen_time = 0;
-    double sample_ms = 0.0;     // boot_ms / phase_ms / program-op sample
-    /// kProgramStep payload: the op's class and repeat-expanded invocation
-    /// count; sample_ms carries its service latency.
-    std::uint8_t prog_class = 0;
-    std::uint32_t prog_ops = 0;
-    FleetDelta delta{0, 0, 0, 0};  // teardown's fleet-counter deltas
-    /// Crash-recovery resolution carried by a victim's kBootDone: the
-    /// fault whose replace_ms gets `recovery_ms` during replay (-1: none).
-    int recovery_fault = -1;
-    double recovery_ms = 0.0;
-    /// kProgramStep retry ledger: the OpIssue outcome of the *next* op the
-    /// worker started, folded in by note_op_outcome during replay.
-    int op_retries = 0;
-    bool op_give_up = false;
-    int degrade_fault = -1;        // first disturbing fault id; -1 = none
-    double degrade_added_ms = -1.0;  // < 0: no added-latency sample
-  };
-
   /// Per-shard window state, storage reused across windows.
   struct ShardTask {
-    EventQueue q;                       // this window's events for the shard
-    std::vector<WorkerRecord> records;  // shard-local (time, seq) order
-    std::vector<std::uint64_t> born;    // provisional -> true seq, in order
-    std::uint64_t next_birth = 0;       // next provisional seq to hand out
-    double max_cpu_ratio = 0.0;         // window max of demand / threads
-    bool dirty = false;                 // non-stale events ran: republish
+    EventQueue q;                    // this window's events for the shard
+    std::vector<Effects> records;    // shard-local (time, seq) order
+    std::vector<std::uint64_t> born;  // provisional -> true seq, in order
+    std::uint64_t next_birth = 0;    // next provisional seq to hand out
+    bool dirty = false;              // non-stale events ran: republish
     std::vector<platforms::PlatformId> counts_touched;  // teardown platforms
-    std::size_t replay_pos = 0;         // merge cursor into records
+    std::size_t replay_pos = 0;      // merge cursor into records
   };
 
   /// Extract the next window out of queue_ into tasks_; returns the number
   /// of events extracted.
   std::size_t build_window(const Scenario& s);
-  /// Worker body: drain one shard's window sub-queue.
+  /// Worker body: drain one shard's window sub-queue through handle_local,
+  /// keeping each event's Effects for the replay.
   void window_drain(ShardTask& task, const Scenario& s);
-  void window_step(ShardTask& task, const Event& e, const Scenario& s);
-  void worker_start_phase(ShardTask& task, WorkerRecord& r, Tenant& t,
-                          platforms::WorkloadClass w, const Scenario& s);
-  /// Worker-side start_program_op: shard-local charges applied directly,
-  /// the report-side sample deferred into the record like phases.
-  void worker_start_program_op(ShardTask& task, WorkerRecord& r, Tenant& t,
-                               const Scenario& s);
-  /// Whether an event born at `time` still belongs to the current window.
+  /// Whether fx's follow-up event still belongs to the current window.
   /// Must evaluate identically on workers and during replay.
-  bool birth_in_window(sim::Nanos time) const;
-  /// Merge every task's records by (time, true seq) and apply the global
-  /// effects exactly as the sequential loop would have.
-  void replay_window(const Scenario& s, sim::Nanos& last_event);
-  void replay_record(ShardTask& task, const WorkerRecord& r,
-                     const Scenario& s, sim::Nanos& last_event);
+  bool birth_in_window(const Effects& fx) const;
+  /// Merge every task's records by (time, true seq) and apply them exactly
+  /// as the sequential loop would have.
+  void replay_window(sim::Nanos& last_event);
 
   class ParallelCtx;  // worker pool + boot lanes (engine_parallel.cpp)
 

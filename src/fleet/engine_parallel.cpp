@@ -1,14 +1,16 @@
 // Parallel execution mode for FleetEngine (Scenario::threads > 1).
 //
 // Conservative parallel discrete-event simulation over the engine's shard
-// structure: shards only interact through placement and autoscale decisions,
-// all of which happen at *coordinator events* (arrivals, host events,
-// autoscale evaluations). Everything between two coordinator events is
-// shard-local, so it can run on a worker pool — as long as the global side
-// effects (report accumulators, fleet counters, event sequence numbers) are
-// applied in exactly the order the sequential loop would have produced.
-// Reports are byte-identical to `threads = 1` at every thread count; the
-// differential tests in tests/fleet_parallel_test.cpp pin that.
+// structure: shards only interact at *coordinator events* (arrivals, host
+// events, autoscale evaluations, fault boundaries). Everything between two
+// coordinator events is shard-local, so it can run on a worker pool — as
+// long as the global side effects (report accumulators, fleet counters,
+// event sequence numbers) are applied in exactly the order the sequential
+// loop would have produced. This file holds no event logic of its own: it
+// schedules the engine's shard-local handlers onto workers and replays
+// their effect records. Reports are byte-identical to `threads = 1` at
+// every thread count; the differential tests in
+// tests/fleet_parallel_test.cpp pin that.
 //
 // Two mechanisms share one worker pool:
 //
@@ -30,18 +32,21 @@
 //    Per-lane FIFO order equals the sequential per-shard order, so page
 //    cache and RNG streams see identical access sequences.
 //
-//  * Windows. When the queue's head is a shard-local event (kBootDone,
-//    kPhaseDone, kTeardown, or an in-flight kBootPhys), the coordinator
-//    extracts the maximal run of such events — up to the next coordinator
-//    event, and no further than churn_gap ahead when churn is on (a
-//    teardown at time t can spawn a re-arrival no earlier than
-//    t + churn_gap, so nothing inside the window can create a coordinator
-//    event inside the window) — into per-shard sub-queues. Workers drain
-//    the sub-queues concurrently, applying shard-local state directly and
-//    recording every global effect in a WorkerRecord. The coordinator then
-//    replays the records in merged (time, sequence) order, reproducing the
-//    sequential loop's report updates, sequence-number issue order, and
-//    event-generation order bit for bit.
+//  * Windows. When the queue's head is a shard-local event
+//    (is_shard_local), the coordinator extracts the maximal run of such
+//    events — up to the next coordinator event, and no further than
+//    churn_gap ahead when churn is on (a teardown at time t can spawn a
+//    re-arrival no earlier than t + churn_gap, so nothing inside the window
+//    can create a coordinator event inside the window) — into per-shard
+//    sub-queues. Workers drain the sub-queues concurrently through the very
+//    handlers the sequential loop runs (handle_local, engine.cpp): each
+//    handler applies its shard-local state directly and writes its global
+//    effects into an Effects record. The sequential loop applies that
+//    record at once; here the coordinator keeps them and replays them
+//    through the same apply_effects in merged (time, sequence) order,
+//    reproducing the sequential loop's report updates, sequence-number
+//    issue order, and event-generation order bit for bit. apply_effects
+//    names the three places the two ways of applying differ.
 //
 // Sequence reconstruction: events born inside a window (a phase completion
 // scheduled by a phase start, a teardown scheduled by the last phase) get
@@ -62,31 +67,16 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/demand.h"
 #include "fleet/engine.h"
 
 namespace fleet {
 
 namespace {
 
-using demand::kBootVcpus;
-using demand::workload_vcpus;
-
 /// Windows smaller than this are drained inline by the coordinator: the
 /// records/replay path is identical (so bytes are too), it just skips the
 /// pool wakeup, which would cost more than it buys on tiny windows.
 constexpr std::size_t kMinParallelWindow = 64;
-
-bool is_coordinator_kind(EventKind k) {
-  // Fault events are barriers too: a crash rewrites foreign tenants' state
-  // and the topology, a partition boundary changes NIC behavior on either
-  // side of it, and a degrade boundary mutates KSM state (the unmerge
-  // storm / re-merge scan) that admissions read.
-  return k == EventKind::kArrival || k == EventKind::kHostEvent ||
-         k == EventKind::kAutoscaleEval || k == EventKind::kHostCrash ||
-         k == EventKind::kPartitionStart || k == EventKind::kPartitionEnd ||
-         k == EventKind::kDegradeStart || k == EventKind::kDegradeEnd;
-}
 
 }  // namespace
 
@@ -362,71 +352,54 @@ void FleetEngine::run_loop_parallel(const Scenario& s,
     if (ctx.outstanding() > 0 && ctx.harvest(top.time, /*all=*/false)) {
       continue;  // harvested boots may now precede the old top
     }
-    switch (top.kind) {
-      case EventKind::kArrival:
-        // Placement is the serial core of the run; lanes keep computing
-        // boot physics underneath it. An arrival touches placement state,
-        // KSM, and demand counters — all coordinator-owned — while lane
-        // workers touch only the page cache / NVMe and the booting
-        // tenant's private state, so they commute.
-        process_event(queue_.pop(), s, arrivals, last_event);
-        break;
-      case EventKind::kHostEvent:
-      case EventKind::kAutoscaleEval:
-      case EventKind::kHostCrash:
-      case EventKind::kPartitionStart:
-      case EventKind::kPartitionEnd:
-      case EventKind::kDegradeStart:
-      case EventKind::kDegradeEnd:
-        // Topology may change here: add_shard can reallocate shards_, and a
-        // drain or crash rewrites foreign tenants' state, either of which
-        // would race in-flight lane work. Wait out every boot first; the
-        // pushes all land strictly after top.time (their horizon has not
-        // been reached), so `top` is still the queue's head.
-        ctx.harvest(0, /*all=*/true);
-        process_event(queue_.pop(), s, arrivals, last_event);
-        ctx.ensure_topology();
-        if (tasks_.size() < shards_.size()) {
-          tasks_.resize(shards_.size());
-        }
-        break;
-      case EventKind::kBootPhys: {
-        // Lane path. Mirror the sequential pop accounting, reserve the
-        // kBootDone's seq at exactly the point the sequential loop would
-        // have stamped it, and let the pool compute the completion time.
-        const Event e = queue_.pop();
-        ++report_.events_processed;
-        global_clock_.advance_to(e.time);
-        Tenant& t = tenants_[e.tenant];
-        if (e.epoch != t.epoch) {
-          break;  // superseded by a drain: inert, consumes no seq
-        }
-        last_event = e.time;
-        ctx.submit(e, queue_.reserve_seqs(1));
-        break;
+    if (top.kind == EventKind::kArrival) {
+      // Placement is the serial core of the run; lanes keep computing
+      // boot physics underneath it. An arrival touches placement state,
+      // KSM, and demand counters — all coordinator-owned — while lane
+      // workers touch only the page cache / NVMe and the booting
+      // tenant's private state, so they commute.
+      process_event(queue_.pop(), s, arrivals, last_event);
+    } else if (!is_shard_local(top.kind)) {
+      // Topology may change here: add_shard can reallocate shards_, and a
+      // drain or crash rewrites foreign tenants' state, either of which
+      // would race in-flight lane work. Wait out every boot first; the
+      // pushes all land strictly after top.time (their horizon has not
+      // been reached), so `top` is still the queue's head.
+      ctx.harvest(0, /*all=*/true);
+      process_event(queue_.pop(), s, arrivals, last_event);
+      ctx.ensure_topology();
+      if (tasks_.size() < shards_.size()) {
+        tasks_.resize(shards_.size());
       }
-      case EventKind::kBootDone:
-      case EventKind::kPhaseDone:
-      case EventKind::kProgramStep:
-      case EventKind::kTeardown: {
-        // Window path. Full lane barrier first: window workers touch the
-        // same shard state lanes do, and per-shard ordering requires all
-        // earlier (smaller time/seq) boot physics to have run.
-        ctx.harvest(0, /*all=*/true);
-        const std::size_t n = build_window(s);
-        if (n == 0) {
-          break;  // defensive: the head was shard-local, so n >= 1
-        }
-        if (win_shards_.size() > 1 && n >= kMinParallelWindow) {
-          ctx.run_window();
-        } else {
-          for (const int h : win_shards_) {
-            window_drain(tasks_[static_cast<std::size_t>(h)], s);
-          }
-        }
-        replay_window(s, last_event);
-        break;
+    } else if (top.kind == EventKind::kBootPhys) {
+      // Lane path. Mirror the sequential pop accounting, reserve the
+      // kBootDone's seq at exactly the point the sequential loop would
+      // have stamped it, and let the pool compute the completion time.
+      const Event e = queue_.pop();
+      ++report_.events_processed;
+      global_clock_.advance_to(e.time);
+      if (e.epoch != tenants_[e.tenant].epoch) {
+        continue;  // superseded by a drain: inert, consumes no seq
       }
+      last_event = e.time;
+      ctx.submit(e, queue_.reserve_seqs(1));
+    } else {
+      // Window path. Full lane barrier first: window workers touch the
+      // same shard state lanes do, and per-shard ordering requires all
+      // earlier (smaller time/seq) boot physics to have run.
+      ctx.harvest(0, /*all=*/true);
+      const std::size_t n = build_window(s);
+      if (n == 0) {
+        continue;  // defensive: the head was shard-local, so n >= 1
+      }
+      if (win_shards_.size() > 1 && n >= kMinParallelWindow) {
+        ctx.run_window();
+      } else {
+        for (const int h : win_shards_) {
+          window_drain(tasks_[static_cast<std::size_t>(h)], s);
+        }
+      }
+      replay_window(last_event);
     }
   }
 }
@@ -447,7 +420,7 @@ std::size_t FleetEngine::build_window(const Scenario& s) {
   std::size_t n = 0;
   while (!queue_.empty()) {
     const Event top = queue_.top();
-    if (is_coordinator_kind(top.kind)) {
+    if (!is_shard_local(top.kind)) {
       win_has_stop_ = true;
       win_stop_time_ = top.time;
       break;
@@ -467,338 +440,41 @@ std::size_t FleetEngine::build_window(const Scenario& s) {
   return n;
 }
 
-bool FleetEngine::birth_in_window(sim::Nanos time) const {
-  // An event born at the stop event's own timestamp would still pop after
-  // the stop (its seq is issued later), so the strict < is exact.
-  return time < win_bound_ && (!win_has_stop_ || time < win_stop_time_);
+bool FleetEngine::birth_in_window(const Effects& fx) const {
+  // Coordinator events (churn re-arrivals) always leave. An event born at
+  // the stop event's own timestamp would still pop after the stop (its seq
+  // is issued later), so the strict < is exact.
+  return fx.gen && is_shard_local(fx.gen_kind) && fx.gen_time < win_bound_ &&
+         (!win_has_stop_ || fx.gen_time < win_stop_time_);
 }
 
 // --- Worker side -------------------------------------------------------------
 
 void FleetEngine::window_drain(ShardTask& task, const Scenario& s) {
   while (!task.q.empty()) {
-    window_step(task, task.q.pop(), s);
-  }
-}
-
-void FleetEngine::worker_start_phase(ShardTask& task, WorkerRecord& r,
-                                     Tenant& t, platforms::WorkloadClass w,
-                                     const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  sh.cpu_demand += workload_vcpus(w);
-  if (w == platforms::WorkloadClass::kNetwork) {
-    ++sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kPhase;
-  // note_peaks, split. The shard slice runs here; of the global slice,
-  // peak_active cannot move inside a window (arrivals set it >= active_,
-  // and windows only decrement active_), the fleet-resident check is a
-  // no-op (any in-window release strictly shrinks fleet residency below
-  // the standing peak) — so only the cpu-demand ratio survives, folded
-  // as a running max and merged at replay (max is order-free and exact).
-  note_shard_peaks(sh);
-  task.max_cpu_ratio = std::max(
-      task.max_cpu_ratio,
-      sh.cpu_demand / static_cast<double>(sh.host->spec().cpu_threads));
-  t.phase_start = t.clock.now();
-  t.clock.advance(phase_cost(t, w, s));
-  r.gen = true;
-  r.gen_kind = EventKind::kPhaseDone;
-  r.gen_time = t.clock.now();
-}
-
-void FleetEngine::worker_start_program_op(ShardTask& task, WorkerRecord& r,
-                                          Tenant& t, const Scenario& s) {
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  const SyscallProgram& prog = builtin_program(t.program);
-  const ProgramOp& op = prog.ops[static_cast<std::size_t>(t.prog_op)];
-  const OpClass cls = op_class(op.sc);
-  t.prog_vcpus = op_vcpus(cls);
-  sh.cpu_demand += t.prog_vcpus;
-  if (cls == OpClass::kNetwork) {
-    ++sh.net_active;
-  }
-  t.in_flight = Tenant::InFlight::kProgram;
-  // Same note_peaks split as worker_start_phase: shard slice here, the
-  // cpu-demand ratio folded as a running max and merged at replay.
-  note_shard_peaks(sh);
-  task.max_cpu_ratio = std::max(
-      task.max_cpu_ratio,
-      sh.cpu_demand / static_cast<double>(sh.host->spec().cpu_threads));
-  t.phase_start = t.clock.now();
-  // Same retry loop as the sequential path (shard-local state plus the
-  // immutable window lists only); the fleet-side outcome accounting rides
-  // the record and is folded in by note_op_outcome during replay.
-  const OpIssue issue = issue_program_op(t, op, s);
-  t.prog_service = issue.service;
-  r.op_retries = issue.retries;
-  r.op_give_up = issue.give_up;
-  r.degrade_fault = issue.fault;
-  r.degrade_added_ms = issue.added_ms;
-  t.clock.advance(op.think);
-  r.gen = true;
-  r.gen_kind = EventKind::kProgramStep;
-  r.gen_time = t.clock.now();
-}
-
-void FleetEngine::window_step(ShardTask& task, const Event& e,
-                              const Scenario& s) {
-  WorkerRecord r;
-  r.time = e.time;
-  r.seq = e.seq;
-  r.tenant = e.tenant;
-  r.kind = e.kind;
-  Tenant& t = tenants_[e.tenant];
-  if (e.epoch != t.epoch) {
-    r.stale = true;  // replay still counts it, exactly like the main loop
-    task.records.push_back(r);
-    return;
-  }
-  Shard& sh = shards_[static_cast<std::size_t>(t.host)];
-  task.dirty = true;
-  switch (e.kind) {
-    case EventKind::kBootPhys: {
-      const sim::Nanos done = boot_physics(sh, t, s, t.boot_factor);
-      r.gen = true;
-      r.gen_kind = EventKind::kBootDone;
-      r.gen_time = done;
-      break;
+    const Event e = task.q.pop();
+    Effects fx(e);
+    Tenant& t = tenants_[e.tenant];
+    if (e.epoch != t.epoch) {
+      fx.stale = true;  // replay still counts it, exactly like the main loop
+    } else {
+      handle_local(t, s, fx);
+      if (birth_in_window(fx)) {
+        // Still ours: queue it under a provisional seq. Provisional seqs
+        // start at win_seq_base_ (> every extracted seq) and rise in
+        // generation order, which is exactly the relative order the
+        // sequential engine would have stamped.
+        task.q.push_at_seq(fx.gen_time, win_seq_base_ + task.next_birth++,
+                           e.tenant, fx.gen_kind, e.epoch);
+      }
     }
-    case EventKind::kBootDone: {
-      sh.cpu_demand -= kBootVcpus;
-      t.in_flight = Tenant::InFlight::kNone;
-      // Stats land in the report at replay, in merged order; the sample is
-      // fixed here so the accumulator sees the identical double.
-      r.count_tenant = !t.counted_in_stats;
-      t.counted_in_stats = true;
-      r.sample_ms = sim::to_millis(t.outcome.boot_latency);
-      if (t.crash_fault >= 0) {
-        // Crash recovery resolves here; the verdict update itself is a
-        // report_ mutation, so it rides the record into the replay.
-        r.recovery_fault = t.crash_fault;
-        r.recovery_ms = sim::to_millis(
-            t.clock.now() -
-            faults_[static_cast<std::size_t>(t.crash_fault)].time);
-        t.crash_fault = -1;
-      }
-      if (t.program >= 0) {
-        // Program tenants restart their program at every boot completion;
-        // the pstats pointer is resolved at replay (report-side state).
-        t.prog_op = 0;
-        t.prog_loops_left = std::max(1, builtin_program(t.program).loops);
-        worker_start_program_op(task, r, t, s);
-      } else if (t.phases.empty()) {
-        r.gen = true;
-        r.gen_kind = EventKind::kTeardown;
-        r.gen_time = t.clock.now();
-      } else {
-        worker_start_phase(task, r, t,
-                           t.phases[static_cast<std::size_t>(t.next_phase)], s);
-      }
-      break;
-    }
-    case EventKind::kPhaseDone: {
-      const platforms::WorkloadClass w =
-          t.phases[static_cast<std::size_t>(t.next_phase)];
-      sh.cpu_demand -= workload_vcpus(w);
-      if (w == platforms::WorkloadClass::kNetwork) {
-        --sh.net_active;
-      }
-      t.in_flight = Tenant::InFlight::kNone;
-      t.platform->record_workload(w, t.rng);
-      r.sample_ms = sim::to_millis(t.clock.now() - t.phase_start);
-      ++t.next_phase;
-      ++t.outcome.phases_run;
-      if (t.next_phase < static_cast<int>(t.phases.size())) {
-        worker_start_phase(task, r, t,
-                           t.phases[static_cast<std::size_t>(t.next_phase)], s);
-      } else {
-        t.platform->record_workload(platforms::WorkloadClass::kStartup, t.rng);
-        t.clock.advance(sim::millis(t.rng.uniform(2.0, 8.0)));
-        r.gen = true;
-        r.gen_kind = EventKind::kTeardown;
-        r.gen_time = t.clock.now();
-      }
-      break;
-    }
-    case EventKind::kProgramStep: {
-      const SyscallProgram& prog = builtin_program(t.program);
-      const ProgramOp& op = prog.ops[static_cast<std::size_t>(t.prog_op)];
-      const OpClass cls = op_class(op.sc);
-      sh.cpu_demand -= t.prog_vcpus;
-      if (cls == OpClass::kNetwork) {
-        --sh.net_active;
-      }
-      t.in_flight = Tenant::InFlight::kNone;
-      // The per-class sample lands in the report at replay, in merged
-      // order, like boot and phase samples.
-      r.prog_class = static_cast<std::uint8_t>(cls);
-      r.prog_ops = op.repeat;
-      r.sample_ms = sim::to_millis(t.prog_service);
-      ++t.outcome.phases_run;
-      ++t.prog_op;
-      if (t.prog_op < static_cast<int>(prog.ops.size())) {
-        worker_start_program_op(task, r, t, s);
-        break;
-      }
-      t.prog_op = 0;
-      if (--t.prog_loops_left > 0) {
-        worker_start_program_op(task, r, t, s);
-        break;
-      }
-      t.platform->record_workload(platforms::WorkloadClass::kStartup, t.rng);
-      t.clock.advance(sim::millis(t.rng.uniform(2.0, 8.0)));
-      r.gen = true;
-      r.gen_kind = EventKind::kTeardown;
-      r.gen_time = t.clock.now();
-      break;
-    }
-    case EventKind::kTeardown: {
-      // Shard-local release now; the fleet-global half (active_, fleet
-      // counters, placement notification) replays from the record.
-      const FleetDelta before = fleet_before(sh);
-      release_core(sh, t);
-      const FleetDelta after = fleet_before(sh);
-      r.delta = FleetDelta{after.resident - before.resident,
-                           after.advised - before.advised,
-                           after.backing - before.backing,
-                           after.shared - before.shared};
-      task.counts_touched.push_back(t.platform_id);
-      t.outcome.completed = true;
-      t.outcome.completion = t.clock.now();
-      ++t.outcome.rounds_completed;
-      if (t.rounds_left > 0) {
-        --t.rounds_left;
-        t.next_phase = 0;
-        t.clock.advance(s.churn_gap);
-        t.outcome.arrival = t.clock.now();
-        t.outcome.boot_latency = 0;
-        t.outcome.completion = 0;
-        t.outcome.completed = false;
-        r.gen = true;
-        r.gen_kind = EventKind::kArrival;
-        r.gen_time = t.clock.now();
-      }
-      break;
-    }
-    case EventKind::kArrival:
-    case EventKind::kHostEvent:
-    case EventKind::kAutoscaleEval:
-    case EventKind::kHostCrash:
-    case EventKind::kPartitionStart:
-    case EventKind::kPartitionEnd:
-    case EventKind::kDegradeStart:
-    case EventKind::kDegradeEnd:
-      break;  // never extracted into a window
+    task.records.push_back(fx);
   }
-  if (r.gen && r.gen_kind != EventKind::kArrival && birth_in_window(r.gen_time)) {
-    // Still ours: queue it under a provisional seq. Provisional seqs start
-    // at win_seq_base_ (> every extracted seq) and rise in generation
-    // order, which is exactly the relative order the sequential engine
-    // would have stamped.
-    task.q.push_at_seq(r.gen_time, win_seq_base_ + task.next_birth++, e.tenant,
-                       r.gen_kind, e.epoch);
-  }
-  task.records.push_back(r);
 }
 
 // --- Deterministic replay ----------------------------------------------------
 
-void FleetEngine::replay_record(ShardTask& task, const WorkerRecord& r,
-                                const Scenario& s, sim::Nanos& last_event) {
-  ++report_.events_processed;
-  global_clock_.advance_to(r.time);
-  if (!r.stale) {
-    last_event = r.time;
-    Tenant& t = tenants_[r.tenant];
-    switch (r.kind) {
-      case EventKind::kBootDone: {
-        PlatformFleetStats*& slot =
-            stats_by_id_[static_cast<std::size_t>(t.platform_id)];
-        if (slot == nullptr) {
-          slot = &report_.by_platform[t.platform->name()];
-          slot->platform = t.platform->name();
-        }
-        t.stats = slot;
-        if (r.count_tenant) {
-          ++slot->tenants;
-        }
-        slot->boot_ms.add(r.sample_ms);
-        report_.cluster_boot_ms.add(r.sample_ms);
-        if (t.program >= 0) {
-          // A tenant's kBootDone always replays before its program steps
-          // (same stream, earlier time/seq), so pstats is resolved in time.
-          ProgramFleetStats*& pslot =
-              pstats_by_id_[static_cast<std::size_t>(t.program)];
-          if (pslot == nullptr) {
-            pslot = &report_.by_program[builtin_program(t.program).name];
-            pslot->program = builtin_program(t.program).name;
-          }
-          t.pstats = pslot;
-          if (r.count_tenant) {
-            ++pslot->tenants;
-          }
-        }
-        if (r.recovery_fault >= 0) {
-          auto& rv = report_.recovery[static_cast<std::size_t>(
-              recovery_slot_[static_cast<std::size_t>(r.recovery_fault)])];
-          rv.replace_ms.add(r.recovery_ms);
-          ++rv.readmitted;
-          ++report_.crash_readmitted;
-          report_.replace_ms.add(r.recovery_ms);
-        }
-        break;
-      }
-      case EventKind::kPhaseDone:
-        t.stats->phase_ms.add(r.sample_ms);
-        break;
-      case EventKind::kProgramStep: {
-        auto& pcls = t.pstats->by_class[r.prog_class];
-        pcls.ops += r.prog_ops;
-        pcls.op_ms.add(r.sample_ms);
-        break;
-      }
-      case EventKind::kTeardown:
-        fleet_resident_ += r.delta.resident;
-        fleet_ksm_advised_ += r.delta.advised;
-        fleet_ksm_backing_ += r.delta.backing;
-        fleet_ksm_shared_ += r.delta.shared;
-        --active_;
-        ++report_.completed;
-        if (r.gen && r.gen_kind == EventKind::kArrival) {
-          ++report_.churn_rearrivals;
-        }
-        break;
-      default:
-        break;  // kBootPhys has no global side
-    }
-    if (r.op_retries > 0 || r.op_give_up || r.degrade_fault >= 0) {
-      // The worker started this tenant's next op inside the window; fold
-      // its issue outcome into the fleet/verdict ledgers here, in merged
-      // order — exactly where the sequential start_program_op would have.
-      OpIssue issue;
-      issue.retries = r.op_retries;
-      issue.give_up = r.op_give_up;
-      issue.fault = r.degrade_fault;
-      issue.added_ms = r.degrade_added_ms;
-      note_op_outcome(r.tenant, issue);
-    }
-  }
-  if (r.gen) {
-    // One reserve per generated event, issued in merged order — the exact
-    // seq the sequential loop's push() would have stamped.
-    const std::uint64_t gseq = queue_.reserve_seqs(1);
-    if (r.gen_kind != EventKind::kArrival && birth_in_window(r.gen_time)) {
-      task.born.push_back(gseq);  // stream order = provisional numbering
-    } else {
-      queue_.push_at_seq(r.gen_time, gseq, r.tenant, r.gen_kind,
-                         tenants_[r.tenant].epoch);
-    }
-  }
-  (void)s;
-}
-
-void FleetEngine::replay_window(const Scenario& s, sim::Nanos& last_event) {
+void FleetEngine::replay_window(sim::Nanos& last_event) {
   struct Head {
     sim::Nanos time;
     std::uint64_t seq;
@@ -811,7 +487,7 @@ void FleetEngine::replay_window(const Scenario& s, sim::Nanos& last_event) {
   };
   const auto head_of = [this](int h) {
     const ShardTask& task = tasks_[static_cast<std::size_t>(h)];
-    const WorkerRecord& rec = task.records[task.replay_pos];
+    const Effects& rec = task.records[task.replay_pos];
     // A provisional seq's parent is always earlier in the same stream, so
     // its real seq is already in `born` when the head reaches it.
     const std::uint64_t seq =
@@ -833,7 +509,13 @@ void FleetEngine::replay_window(const Scenario& s, sim::Nanos& last_event) {
     const int h = heap.back().shard;
     heap.pop_back();
     ShardTask& task = tasks_[static_cast<std::size_t>(h)];
-    replay_record(task, task.records[task.replay_pos++], s, last_event);
+    const Effects& fx = task.records[task.replay_pos++];
+    ++report_.events_processed;
+    global_clock_.advance_to(fx.time);
+    if (!fx.stale) {
+      last_event = fx.time;
+      apply_effects(fx, &task);
+    }
     if (task.replay_pos < task.records.size()) {
       heap.push_back(head_of(h));
       std::push_heap(heap.begin(), heap.end(), later);
@@ -846,8 +528,6 @@ void FleetEngine::replay_window(const Scenario& s, sim::Nanos& last_event) {
   for (const int h : win_shards_) {
     ShardTask& task = tasks_[static_cast<std::size_t>(h)];
     Shard& sh = shards_[static_cast<std::size_t>(h)];
-    report_.peak_cpu_demand =
-        std::max(report_.peak_cpu_demand, task.max_cpu_ratio);
     for (const platforms::PlatformId id : task.counts_touched) {
       notify_platform_count(sh, id);
     }
@@ -857,7 +537,6 @@ void FleetEngine::replay_window(const Scenario& s, sim::Nanos& last_event) {
     task.records.clear();
     task.born.clear();
     task.next_birth = 0;
-    task.max_cpu_ratio = 0.0;
     task.dirty = false;
     task.counts_touched.clear();
     task.replay_pos = 0;

@@ -46,6 +46,34 @@ enum class EventKind {
                     //   here — disk/pair stretch is precomputed per window
 };
 
+/// The one classification of event kinds. Shard-local kinds touch only
+/// their tenant and its shard, plus global effects the engine defers into
+/// an effect record (engine.h), so a parallel window may run them on a
+/// worker. Every other kind is a coordinator event: arrivals and host
+/// events make placement decisions; autoscale evals and fault boundaries
+/// rewrite topology, foreign tenants, NIC behavior or KSM state that
+/// admissions read. Coordinator events are barriers for windows.
+constexpr bool is_shard_local(EventKind k) {
+  switch (k) {
+    case EventKind::kBootPhys:
+    case EventKind::kBootDone:
+    case EventKind::kPhaseDone:
+    case EventKind::kProgramStep:
+    case EventKind::kTeardown:
+      return true;
+    case EventKind::kArrival:
+    case EventKind::kHostEvent:
+    case EventKind::kAutoscaleEval:
+    case EventKind::kHostCrash:
+    case EventKind::kPartitionStart:
+    case EventKind::kPartitionEnd:
+    case EventKind::kDegradeStart:
+    case EventKind::kDegradeEnd:
+      return false;
+  }
+  return false;
+}
+
 struct Event {
   sim::Nanos time = 0;
   std::uint64_t seq = 0;  // global issue order, breaks time ties

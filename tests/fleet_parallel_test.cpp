@@ -189,8 +189,14 @@ TEST(FleetParallelTest, DrainAndAddMidRunMatchSequential) {
 }
 
 TEST(FleetParallelTest, RandomizedScenariosMatchSequential) {
-  // Randomized-by-seed sweep across arrival patterns and mixes; every
-  // thread count in 1..8 must agree with the sequential run.
+  // Randomized-by-seed sweep across arrival patterns, mixes and
+  // compositions; every thread count in 2..8 must agree with the sequential
+  // run, which also audits the incremental fleet counters. Between them the
+  // composition variants make window workers set every field of the
+  // engine's per-event effect record: program ops (class, op count) with
+  // retries and give-ups, crash recovery on a victim's re-boot, disk and
+  // pair degrade attribution, and churn re-arrivals.
+  std::vector<Scenario> variants;
   int variant = 0;
   for (const std::uint64_t seed :
        {0xA11CE5EEDull, 0xB0075EEDull, 0xC105E5EEDull}) {
@@ -204,17 +210,86 @@ TEST(FleetParallelTest, RandomizedScenariosMatchSequential) {
       s.churn_rounds = 1;
       s.churn_gap = sim::millis(40);
     }
+    variants.push_back(s);
+    ++variant;
+  }
+  // Program tenants with a tight per-op budget and retries, under a seeded
+  // random schedule of crashes, disk degrades and partial partitions.
+  Scenario faulted = Scenario::program_storm(200, 4);
+  faulted.seed = 0xD15C5EEDull;
+  faulted.op_slo_ms = sim::millis(2);
+  faulted.op_max_retries = 2;
+  faulted.op_backoff_base_ms = sim::millis(1);
+  faulted.faults.random_crashes = 1;
+  faulted.faults.random_disk_degrades = 2;
+  faulted.faults.random_partial_partitions = 2;
+  faulted.faults.random_horizon = sim::millis(250);
+  faulted.faults.random_degrade_duration = sim::millis(150);
+  variants.push_back(faulted);
+  // The same retrying program mix with churn (churn_gap > 0 keeps the
+  // parallel loop engaged).
+  Scenario churned = Scenario::program_storm(120, 4);
+  churned.seed = 0xE7C4A5EEDull;
+  churned.op_slo_ms = sim::millis(2);
+  churned.op_max_retries = 1;
+  churned.op_backoff_base_ms = sim::millis(1);
+  churned.churn_rounds = 1;
+  churned.churn_gap = sim::millis(30);
+  variants.push_back(churned);
+
+  // Field coverage summed over the composed variants.
+  int retries = 0;
+  int give_ups = 0;
+  int readmitted = 0;
+  int rearrivals = 0;
+  bool programs = false;
+  bool disk_disturbed = false;
+  bool pair_disturbed = false;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    Scenario s = variants[v];
     s.threads = 1;
-    const FleetReport sequential = run_cluster(s);
+    Cluster cluster(s.cluster);
+    const auto policy = fleet::make_placement(s.placement);
+    std::vector<core::HostSystem*> hosts;
+    for (int i = 0; i < cluster.host_count(); ++i) {
+      hosts.push_back(&cluster.host(i));
+    }
+    FleetEngine engine(hosts, policy.get(), &cluster);
+    engine.set_peak_audit(true);
+    const FleetReport sequential = engine.run(s);
+    EXPECT_TRUE(engine.peak_audit_ok()) << "variant " << v;
+    if (v >= 3) {
+      retries += sequential.op_retries;
+      give_ups += sequential.op_give_ups;
+      readmitted += sequential.crash_readmitted;
+      rearrivals += sequential.churn_rearrivals;
+      programs |= !sequential.by_program.empty();
+      for (const auto& dv : sequential.degraded) {
+        disk_disturbed |= dv.kind == "disk-degrade" && !dv.added_ms.empty();
+        pair_disturbed |=
+            dv.kind == "partial-partition" && !dv.added_ms.empty();
+      }
+    }
     for (int threads = 2; threads <= 8; ++threads) {
       Scenario p = s;
       p.threads = threads;
-      expect_identical(sequential, run_cluster(p),
-                       "randomized seed=" + std::to_string(seed) +
-                           " threads=" + std::to_string(threads));
+      const FleetReport parallel = run_cluster(p);
+      const std::string label = "randomized variant=" + std::to_string(v) +
+                                " seed=" + std::to_string(s.seed) +
+                                " threads=" + std::to_string(threads);
+      expect_identical(sequential, parallel, label);
+      EXPECT_EQ(sequential.op_retries, parallel.op_retries) << label;
+      EXPECT_EQ(sequential.op_give_ups, parallel.op_give_ups) << label;
     }
-    ++variant;
   }
+  // The composed variants really exercise every record field.
+  EXPECT_GT(retries, 0);
+  EXPECT_GT(give_ups, 0);
+  EXPECT_GT(readmitted, 0);
+  EXPECT_GT(rearrivals, 0);
+  EXPECT_TRUE(programs);
+  EXPECT_TRUE(disk_disturbed);
+  EXPECT_TRUE(pair_disturbed);
 }
 
 TEST(FleetParallelTest, ChaosBuiltinsMatchSequential) {
