@@ -383,7 +383,7 @@ TEST(ChaosTest, RecoveryVerdictTotalsAreConsistent) {
 // --- Drain/crash same-instant hardening -------------------------------------
 
 TEST(ChaosTest, DrainThenCrashSameInstantIsSafe) {
-  // A timed drain and a crash hit host 1 in the same timestamp batch (the
+  // A timed drain and a crash hit host 1 at the same instant (the
   // drain pops first: host events are queued before fault events). The
   // crash must skip the already-dead host instead of double-releasing its
   // tenants.
