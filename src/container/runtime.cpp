@@ -82,23 +82,23 @@ const core::BootTimeline& ContainerRuntime::cached_timeline() const {
 
 void ContainerRuntime::record_setup_syscalls(sim::Rng& rng) {
   // HAP-visible setup path.
-  host_->invoke(Syscall::kClone3, rng, 1);
+  host_->record(Syscall::kClone3, rng, 1);
   spec_.namespaces.record_setup(*host_, rng);
   Cgroup cg("/" + spec_.name, spec_.cgroup_version, spec_.limits);
   cg.record_setup(*host_, rng);
-  host_->invoke(Syscall::kMount, rng,
+  host_->record(Syscall::kMount, rng,
                 spec_.storage == StorageDriver::kZfs ? 2 : 1);
   if (spec_.seccomp_filter) {
-    host_->invoke(Syscall::kPrctl, rng, 1);
-    host_->invoke(Syscall::kSeccompLoad, rng, 1);
+    host_->record(Syscall::kPrctl, rng, 1);
+    host_->record(Syscall::kSeccompLoad, rng, 1);
   }
-  host_->invoke(Syscall::kExecve, rng, 1);
+  host_->record(Syscall::kExecve, rng, 1);
   if (spec_.via_docker_daemon) {
     // CLI <-> daemon RPC over the unix socket.
-    host_->invoke(Syscall::kSocket, rng, 1);
-    host_->invoke(Syscall::kConnect, rng, 1);
-    host_->invoke(Syscall::kSendmsg, rng, 4);
-    host_->invoke(Syscall::kRecvmsg, rng, 4);
+    host_->record(Syscall::kSocket, rng, 1);
+    host_->record(Syscall::kConnect, rng, 1);
+    host_->record(Syscall::kSendmsg, rng, 4);
+    host_->record(Syscall::kRecvmsg, rng, 4);
   }
 }
 
@@ -115,10 +115,10 @@ void ContainerRuntime::record_boot(sim::Clock& clock, sim::Rng& rng) {
 }
 
 sim::Nanos ContainerRuntime::exec_process(sim::Clock& clock, sim::Rng& rng) {
-  host_->invoke(Syscall::kClone3, rng, 1);
-  host_->invoke(Syscall::kSetns, rng,
+  host_->record(Syscall::kClone3, rng, 1);
+  host_->record(Syscall::kSetns, rng,
                 static_cast<std::uint64_t>(spec_.namespaces.size()));
-  host_->invoke(Syscall::kExecve, rng, 1);
+  host_->record(Syscall::kExecve, rng, 1);
   const sim::Nanos cost =
       DurationDist::lognormal(millis(18), 0.2).sample(rng);
   clock.advance(cost);

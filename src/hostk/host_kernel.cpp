@@ -355,6 +355,26 @@ HostKernel::HostKernel() : ftrace_(registry_) {
   define(Syscall::kProcRead, medium,
          {"proc_reg_read", "proc_pid_status", "seq_read_iter",
           "kernfs_iop_lookup", "vfs_read"});
+
+  for (const SyscallSpec& spec : specs_) {
+    ftrace_.add_expansion(spec.functions);
+  }
+  // Background paths, in BackgroundPath order.
+  const auto hits_of = [this](std::initializer_list<const char*> names) {
+    std::vector<FunctionHit> hits;
+    for (const char* name : names) {
+      hits.push_back(FunctionHit{registry_.id_of(name), 1});
+    }
+    return hits;
+  };
+  ftrace_.add_expansion(hits_of(
+      {"veth_xmit", "br_handle_frame", "br_forward", "br_nf_pre_routing",
+       "nf_hook_slow", "netif_rx_internal", "enqueue_to_backlog",
+       "net_rx_action", "__napi_poll", "process_backlog"}));
+  ftrace_.add_expansion(hits_of(
+      {"tun_get_user", "tun_net_xmit", "tap_do_read", "vhost_net_tx",
+       "vhost_net_rx", "vhost_poll_queue", "netif_receive_skb",
+       "napi_gro_receive"}));
 }
 
 void HostKernel::define(Syscall sc, sim::DurationDist cost,
@@ -387,25 +407,19 @@ sim::Nanos HostKernel::invoke(Syscall sc, sim::Rng& rng, std::uint64_t count) {
     return 0;
   }
   const std::size_t i = index_of(sc);
-  const auto& spec = specs_[i];
-  if (ftrace_.recording()) {
-    TraceSlots& cache = trace_slots_[i];
-    if (cache.generation != ftrace_.generation()) {
-      cache.slots.clear();
-      for (const auto& hit : spec.functions) {
-        if (hit.count > 0) {  // record() never creates zero-count entries
-          cache.slots.emplace_back(ftrace_.slot(hit.fn), hit.count);
-        }
-      }
-      cache.generation = ftrace_.generation();
-    }
-    for (const auto& [slot, mult] : cache.slots) {
-      *slot += mult * count;
-    }
-  }
+  ftrace_.record_expansion(static_cast<Ftrace::ExpansionId>(i), count);
   // One stochastic sample scaled by count: keeps long batches cheap while
   // preserving run-to-run variance of the batch total.
-  return spec.cost.sample(rng) * static_cast<sim::Nanos>(count);
+  return specs_[i].cost.sample(rng) * static_cast<sim::Nanos>(count);
+}
+
+void HostKernel::record(Syscall sc, sim::Rng& rng, std::uint64_t count) {
+  if (count == 0) {
+    return;
+  }
+  const std::size_t i = index_of(sc);
+  ftrace_.record_expansion(static_cast<Ftrace::ExpansionId>(i), count);
+  specs_[i].cost.skip(rng);
 }
 
 sim::Nanos HostKernel::invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,
@@ -415,14 +429,11 @@ sim::Nanos HostKernel::invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,
   return cost;
 }
 
-void HostKernel::record_background(const std::vector<FunctionHit>& hits,
-                                   std::uint64_t repeat) {
-  if (!ftrace_.recording()) {
-    return;
-  }
-  for (const auto& hit : hits) {
-    ftrace_.record(hit.fn, static_cast<std::uint64_t>(hit.count) * repeat);
-  }
+void HostKernel::record_background(BackgroundPath path, std::uint64_t repeat) {
+  ftrace_.record_expansion(
+      static_cast<Ftrace::ExpansionId>(kSyscallCount +
+                                       static_cast<std::size_t>(path)),
+      repeat);
 }
 
 const SyscallSpec& HostKernel::spec(Syscall sc) const {

@@ -1,9 +1,12 @@
 // The modeled host Linux kernel.
 //
 // All isolation platforms ultimately execute on one HostKernel instance.
-// Invoking a syscall (a) charges its modeled CPU cost and (b) records the
-// kernel functions its handler executes into the shared Ftrace — the raw
-// material of the paper's HAP study (Section 4).
+// Dispatching a syscall records the kernel functions its handler executes
+// into the shared Ftrace — the raw material of the paper's HAP study
+// (Section 4) — and draws its modeled CPU cost from the caller's RNG.
+// invoke() returns that cost; record() is the trace-only dispatch for
+// callers that would discard it, and skips computing the draw while
+// advancing the RNG identically.
 #pragma once
 
 #include <array>
@@ -19,17 +22,17 @@
 
 namespace hostk {
 
-/// One kernel function hit by a syscall handler, with its per-invocation
-/// multiplicity (e.g. a read hits fsnotify twice).
-struct FunctionHit {
-  FunctionId fn;
-  std::uint32_t count;
-};
-
 /// Cost + trace expansion of one syscall.
 struct SyscallSpec {
   sim::DurationDist cost = sim::DurationDist::constant(0);
   std::vector<FunctionHit> functions;
+};
+
+/// Kernel activity a datapath triggers outside any syscall, per packet
+/// (softirq receive, vhost kthreads). Each expands to a fixed function list.
+enum class BackgroundPath {
+  kBridge,     // veth pair + Linux bridge + netfilter, backlog softirq
+  kTapVirtio,  // TAP device + vhost-net worker, NAPI receive
 };
 
 /// Host kernel model: syscall dispatcher + ftrace instrumentation.
@@ -47,17 +50,23 @@ class HostKernel {
   /// Execute `count` back-to-back invocations of `sc`: records the kernel
   /// functions into the ftrace and returns the total modeled CPU cost.
   /// The caller charges the cost to whichever clock represents the caller's
-  /// execution context.
-  sim::Nanos invoke(Syscall sc, sim::Rng& rng, std::uint64_t count = 1);
+  /// execution context. Callers that only want the trace use record().
+  /// `count == 0` records nothing, draws nothing and returns 0.
+  [[nodiscard]] sim::Nanos invoke(Syscall sc, sim::Rng& rng,
+                                  std::uint64_t count = 1);
+
+  /// Trace-only invoke(): records exactly the ftrace hits invoke() would and
+  /// leaves `rng` in exactly the state invoke() would, but skips computing
+  /// the cost (sim::DurationDist::skip). `count == 0` is a no-op.
+  void record(Syscall sc, sim::Rng& rng, std::uint64_t count = 1);
 
   /// Convenience: invoke and charge `clock` in one step.
   sim::Nanos invoke_on(sim::Clock& clock, Syscall sc, sim::Rng& rng,
                        std::uint64_t count = 1);
 
-  /// Record extra kernel functions that run outside any syscall (softirq
-  /// network receive path, kthreads like ksmd). Cost-free; trace-only.
-  void record_background(const std::vector<FunctionHit>& hits,
-                         std::uint64_t repeat = 1);
+  /// Record `repeat` passes of a background path's kernel functions.
+  /// Cost-free; trace-only; draws nothing.
+  void record_background(BackgroundPath path, std::uint64_t repeat = 1);
 
   /// The spec backing a syscall (exposed for tests and the HAP model).
   const SyscallSpec& spec(Syscall sc) const;
@@ -71,21 +80,11 @@ class HostKernel {
   void append_functions(Syscall sc, std::initializer_list<const char*> functions,
                         std::uint32_t count = 1);
 
-  /// Per-syscall cache of (counter slot, multiplicity) pairs into the
-  /// ftrace's current window, rebuilt lazily when the window generation
-  /// changes. Unordered-map node pointers are stable, and the rebuild
-  /// touches the window's counters in the same first-touch order record()
-  /// would, so counts_ iteration order — and every float sum derived from
-  /// it — is unchanged; dispatch just skips the per-function hash lookups.
-  struct TraceSlots {
-    std::uint64_t generation = 0;
-    std::vector<std::pair<std::uint64_t*, std::uint64_t>> slots;
-  };
-
   KernelFunctionRegistry registry_;
+  // Holds one expansion per syscall (id = the syscall's index), then one
+  // per BackgroundPath (id = kSyscallCount + the path's index).
   Ftrace ftrace_;
   std::array<SyscallSpec, kSyscallCount> specs_;
-  std::array<TraceSlots, kSyscallCount> trace_slots_;
 };
 
 }  // namespace hostk

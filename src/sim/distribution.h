@@ -34,6 +34,12 @@ class DurationDist {
   /// Draw one sample.
   Nanos sample(Rng& rng) const;
 
+  /// Advance `rng` exactly as sample() would, without computing the value:
+  /// for callers that draw only to keep the stream in step. Normal and
+  /// LogNormal skip lazily (Rng::skip_normal), Exponential runs its
+  /// uniform draw's rejection loop, Constant draws nothing.
+  void skip(Rng& rng) const;
+
   /// The distribution's theoretical mean (used by analytic summaries).
   Nanos mean() const;
 

@@ -1,6 +1,7 @@
 #include "sim/rng.h"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace sim {
@@ -14,6 +15,22 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+constexpr std::uint64_t kRawMask = (std::uint64_t{1} << 53) - 1;
+
+/// A raw 53-bit draw as a double in [0, 1); exact, so raws round-trip.
+double unit(std::uint64_t raw) { return static_cast<double>(raw) * 0x1.0p-53; }
+
+/// One Box-Muller pair's radius and angle. The eager normal() path and the
+/// lazy path after skip_normal() both go through here, so their variates
+/// are bit-identical.
+struct Polar {
+  double r;
+  double theta;
+};
+Polar box_muller(double u1, double u2) {
+  return {std::sqrt(-2.0 * std::log(u1)), 2.0 * kPi * u2};
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
@@ -47,9 +64,7 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::next_double() { return unit(next_u64() >> 11); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * next_double(); }
 
@@ -61,21 +76,46 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(next_u64() % span);
 }
 
+std::uint64_t Rng::next_u1_raw() {
+  std::uint64_t raw = next_u64() >> 11;
+  while (unit(raw) <= 1e-300) {
+    raw = next_u64() >> 11;
+  }
+  return raw;
+}
+
 double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  switch (cache_mode()) {
+    case kVariate: {
+      cache_hi_ = 0;
+      double v;
+      std::memcpy(&v, &cache_lo_, sizeof v);
+      return v;
+    }
+    case kUniforms: {
+      const Polar p = box_muller(unit(cache_lo_), unit(cache_hi_ & kRawMask));
+      cache_hi_ = 0;
+      return p.r * std::sin(p.theta);
+    }
+    case kEmpty:
+      break;
   }
-  double u1 = next_double();
-  while (u1 <= 1e-300) {
-    u1 = next_double();
-  }
+  const double u1 = unit(next_u1_raw());
   const double u2 = next_double();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * kPi * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
+  const Polar p = box_muller(u1, u2);
+  const double cached = p.r * std::sin(p.theta);
+  std::memcpy(&cache_lo_, &cached, sizeof cached);
+  cache_hi_ = std::uint64_t{kVariate} << kModeShift;
+  return p.r * std::cos(p.theta);
+}
+
+void Rng::skip_normal() {
+  if (cache_mode() != kEmpty) {
+    cache_hi_ = 0;
+    return;
+  }
+  cache_lo_ = next_u1_raw();
+  cache_hi_ = (std::uint64_t{kUniforms} << kModeShift) | (next_u64() >> 11);
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }

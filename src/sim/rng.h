@@ -32,6 +32,15 @@ class Rng {
   /// Standard normal via Box-Muller (cached second variate).
   double normal();
 
+  /// Advance the stream exactly as a discarded normal() would, without
+  /// computing the variate. If a variate is cached, drops it. Otherwise
+  /// draws the Box-Muller pair's two uniforms and keeps them: a later
+  /// normal() derives the sine variate from them with the same expression
+  /// the eager path uses, so every value and the stream stay bit-identical.
+  /// Skips Normal and LogNormal samples alike (lognormal() draws one
+  /// normal()).
+  void skip_normal();
+
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
@@ -51,9 +60,26 @@ class Rng {
   Rng fork();
 
  private:
+  /// What the Box-Muller cache holds, kept in the top bits of cache_hi_.
+  enum CacheMode : std::uint64_t {
+    kEmpty = 0,
+    kVariate = 1,   // cache_lo_ holds the cached sine variate's bits
+    kUniforms = 2,  // cache_lo_/cache_hi_ hold the pair's 53-bit raw uniforms
+  };
+  static constexpr int kModeShift = 62;
+
+  CacheMode cache_mode() const {
+    return static_cast<CacheMode>(cache_hi_ >> kModeShift);
+  }
+  /// Raw 53-bit draw for the first Box-Muller uniform, rejecting zero.
+  std::uint64_t next_u1_raw();
+
   std::array<std::uint64_t, 4> state_;
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  // The Box-Muller cache in two words, so the generator stays 48 bytes:
+  // a mode (kEmpty, kVariate, kUniforms) in cache_hi_'s top bits, plus
+  // either the cached variate or the pair's two raw uniforms.
+  std::uint64_t cache_lo_ = 0;
+  std::uint64_t cache_hi_ = 0;
 };
 
 /// Zipfian sampler over [0, n) with skew theta (YCSB uses theta = 0.99).

@@ -2,8 +2,11 @@
 // block device, NIC.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "hostk/block_device.h"
 #include "hostk/ftrace.h"
@@ -115,7 +118,7 @@ TEST(HostKernelTest, SyscallRecordsFunctionsWhenTracing) {
   HostKernel hk;
   sim::Rng rng(1);
   hk.ftrace().start();
-  hk.invoke(Syscall::kRead, rng);
+  hk.record(Syscall::kRead, rng);
   hk.ftrace().stop();
   const auto& reg = hk.registry();
   EXPECT_GT(hk.ftrace().count_of(reg.id_of("vfs_read")), 0u);
@@ -125,7 +128,7 @@ TEST(HostKernelTest, SyscallRecordsFunctionsWhenTracing) {
 TEST(HostKernelTest, NoTraceWhenNotRecording) {
   HostKernel hk;
   sim::Rng rng(1);
-  hk.invoke(Syscall::kRead, rng);
+  hk.record(Syscall::kRead, rng);
   EXPECT_EQ(hk.ftrace().distinct_functions(), 0u);
 }
 
@@ -133,7 +136,7 @@ TEST(HostKernelTest, BatchedInvocationScalesCostAndCounts) {
   HostKernel hk;
   sim::Rng rng(1);
   hk.ftrace().start();
-  hk.invoke(Syscall::kSendto, rng, 100);
+  hk.record(Syscall::kSendto, rng, 100);
   const auto& reg = hk.registry();
   EXPECT_EQ(hk.ftrace().count_of(reg.id_of("tcp_sendmsg")), 100u);
 }
@@ -160,7 +163,7 @@ TEST(HostKernelTest, KvmRunHitsKvmSubsystem) {
   HostKernel hk;
   sim::Rng rng(1);
   hk.ftrace().start();
-  hk.invoke(Syscall::kKvmRun, rng);
+  hk.record(Syscall::kKvmRun, rng);
   const auto breakdown = hk.ftrace().distinct_by_subsystem();
   EXPECT_GT(breakdown.at(Subsystem::kKvm), 10u);
 }
@@ -173,6 +176,120 @@ TEST(HostKernelTest, SyscallNamesAreUniqueAndNonEmpty) {
     EXPECT_NE(name, "unknown");
     EXPECT_TRUE(names.insert(name).second) << "duplicate: " << name;
   }
+}
+
+// --- record(): the trace-only dispatch ------------------------------------
+
+using Counts = std::vector<std::pair<hostk::FunctionId, std::uint64_t>>;
+
+Counts counts_in_order(const Ftrace& ft) {
+  return Counts(ft.counts().begin(), ft.counts().end());
+}
+
+// Drives twin kernels through the same random dispatches: `inv` through
+// invoke(), `rec` through record(), and `eager` (a bare Ftrace) by recording
+// every function hit one at a time, as dispatch did before expansions were
+// deferred.
+struct Twins {
+  HostKernel inv;
+  HostKernel rec;
+  Ftrace eager{inv.registry()};
+  sim::Rng inv_rng{77};
+  sim::Rng rec_rng{77};
+
+  void dispatch(Syscall sc, std::uint64_t count) {
+    (void)inv.invoke(sc, inv_rng, count);
+    rec.record(sc, rec_rng, count);
+    for (const auto& hit : inv.spec(sc).functions) {
+      eager.record(hit.fn, std::uint64_t{hit.count} * count);
+    }
+  }
+  void run(std::uint64_t seed, int ops) {
+    sim::Rng choice(seed);
+    for (int i = 0; i < ops; ++i) {
+      const auto sc = static_cast<Syscall>(
+          choice.uniform_int(0, static_cast<std::int64_t>(hostk::kSyscallCount) - 1));
+      dispatch(sc, static_cast<std::uint64_t>(choice.uniform_int(0, 40)));
+    }
+  }
+};
+
+TEST(HostKernelRecordTest, MatchesInvokeWhileRecording) {
+  Twins t;
+  t.inv.ftrace().start();
+  t.rec.ftrace().start();
+  t.eager.start();
+  t.run(1, 5'000);
+  t.inv.ftrace().stop();
+  t.rec.ftrace().stop();
+  const Counts expected = counts_in_order(t.eager);
+  EXPECT_EQ(counts_in_order(t.inv.ftrace()), expected);
+  EXPECT_EQ(counts_in_order(t.rec.ftrace()), expected);
+  EXPECT_EQ(t.inv_rng.next_u64(), t.rec_rng.next_u64());
+}
+
+TEST(HostKernelRecordTest, MatchesInvokeWhileStopped) {
+  Twins t;
+  t.run(2, 2'000);
+  EXPECT_EQ(t.rec.ftrace().distinct_functions(), 0u);
+  EXPECT_EQ(t.inv_rng.next_u64(), t.rec_rng.next_u64());
+}
+
+TEST(HostKernelRecordTest, MidWindowReadsSeeDeferredCounts) {
+  HostKernel hk;
+  sim::Rng rng(3);
+  const auto& reg = hk.registry();
+  const auto tcp_sendmsg = reg.id_of("tcp_sendmsg");
+  const auto entry = reg.id_of("entry_SYSCALL_64");
+  hk.ftrace().start();
+  hk.record(Syscall::kSendto, rng, 5);
+  hk.record(Syscall::kSendto, rng, 7);
+  EXPECT_EQ(hk.ftrace().count_of(tcp_sendmsg), 12u);
+  const std::uint64_t sendto_total =
+      12u * hk.spec(Syscall::kSendto).functions.size();
+  EXPECT_EQ(hk.ftrace().total_invocations(), sendto_total);
+  hk.record(Syscall::kRead, rng, 3);  // after a read, still deferred
+  EXPECT_EQ(hk.ftrace().count_of(entry), 15u);
+  EXPECT_EQ(hk.ftrace().total_invocations(),
+            sendto_total + 3u * hk.spec(Syscall::kRead).functions.size());
+}
+
+TEST(HostKernelRecordTest, StartDiscardsPendingCounts) {
+  HostKernel hk;
+  sim::Rng rng(4);
+  const auto vfs_read = hk.registry().id_of("vfs_read");
+  hk.ftrace().start();
+  hk.record(Syscall::kRead, rng, 9);  // pending, never read
+  hk.ftrace().start();
+  EXPECT_EQ(hk.ftrace().distinct_functions(), 0u);
+  hk.record(Syscall::kRead, rng, 2);  // the first read is after this
+  EXPECT_EQ(hk.ftrace().count_of(vfs_read), 2u);
+  EXPECT_EQ(hk.ftrace().total_invocations(),
+            2u * hk.spec(Syscall::kRead).functions.size());
+}
+
+TEST(HostKernelRecordTest, ZeroCountRecordsAndDrawsNothing) {
+  HostKernel hk;
+  sim::Rng rng(5);
+  sim::Rng untouched(5);
+  hk.ftrace().start();
+  hk.record(Syscall::kRead, rng, 0);
+  hk.record_background(hostk::BackgroundPath::kBridge, 0);
+  EXPECT_EQ(hk.ftrace().distinct_functions(), 0u);
+  EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
+TEST(HostKernelRecordTest, BackgroundPathCountsPerPass) {
+  HostKernel hk;
+  const auto& reg = hk.registry();
+  hk.ftrace().start();
+  hk.record_background(hostk::BackgroundPath::kTapVirtio, 4);
+  hk.record_background(hostk::BackgroundPath::kTapVirtio, 6);
+  EXPECT_EQ(hk.ftrace().count_of(reg.id_of("vhost_net_tx")), 10u);
+  EXPECT_EQ(hk.ftrace().distinct_functions(), 8u);
+  hk.ftrace().stop();
+  hk.record_background(hostk::BackgroundPath::kTapVirtio, 6);  // stopped
+  EXPECT_EQ(hk.ftrace().count_of(reg.id_of("vhost_net_tx")), 10u);
 }
 
 TEST(PageCacheTest, MissThenHit) {

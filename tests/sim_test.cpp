@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -18,6 +20,16 @@ using sim::DurationDist;
 using sim::Nanos;
 using sim::Rng;
 using sim::ZipfianGenerator;
+
+// The lazy Box-Muller cache is packed into the old cached-double word and
+// its padding; a bigger Rng grows every tenant and shard that holds one.
+static_assert(sizeof(Rng) == 48, "Rng must stay 48 bytes");
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
 
 TEST(TimeTest, UnitConstructors) {
   EXPECT_EQ(sim::micros(1), 1'000);
@@ -245,6 +257,106 @@ TEST(DurationDistTest, InvalidParametersThrow) {
   EXPECT_THROW(DurationDist::normal(-1, 0), std::invalid_argument);
   EXPECT_THROW(DurationDist::lognormal(0, 0.1), std::invalid_argument);
   EXPECT_THROW(DurationDist::exponential(0), std::invalid_argument);
+}
+
+// --- skip(): advances the stream exactly as a discarded sample ------------
+//
+// `ref` samples everywhere; `sut` skips where `ref` discards. Every value
+// both sides sample, and the stream afterwards, must be bit-identical.
+
+TEST(RngSkipTest, SkipAfterCachedVariateDropsIt) {
+  Rng ref(11);
+  Rng sut(11);
+  EXPECT_EQ(bits_of(ref.normal()), bits_of(sut.normal()));  // caches a variate
+  (void)ref.normal();  // consumes the cached variate
+  sut.skip_normal();   // drops it
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(bits_of(ref.normal()), bits_of(sut.normal()));
+  }
+  EXPECT_EQ(ref.next_u64(), sut.next_u64());
+}
+
+TEST(RngSkipTest, NormalAfterSkipTakesLazyPath) {
+  Rng ref(12);
+  Rng sut(12);
+  (void)ref.normal();  // draws a pair, caches the sine variate
+  sut.skip_normal();   // draws the same pair, keeps the raw uniforms
+  // The sine variate, computed lazily from the kept uniforms.
+  EXPECT_EQ(bits_of(ref.normal()), bits_of(sut.normal()));
+  EXPECT_EQ(bits_of(ref.normal()), bits_of(sut.normal()));
+  EXPECT_EQ(ref.next_u64(), sut.next_u64());
+}
+
+TEST(RngSkipTest, SeveralSkipsInARow) {
+  for (int skips = 1; skips <= 5; ++skips) {
+    Rng ref(13);
+    Rng sut(13);
+    for (int i = 0; i < skips; ++i) {
+      (void)ref.normal();
+      sut.skip_normal();
+    }
+    EXPECT_EQ(bits_of(ref.normal()), bits_of(sut.normal())) << skips;
+    EXPECT_EQ(bits_of(ref.lognormal(1.0, 0.5)), bits_of(sut.lognormal(1.0, 0.5)))
+        << skips;
+    EXPECT_EQ(ref.next_u64(), sut.next_u64()) << skips;
+  }
+}
+
+TEST(RngSkipTest, RandomInterleavingMatchesNormal) {
+  Rng choice(2024);
+  Rng ref(14);
+  Rng sut(14);
+  for (int i = 0; i < 20'000; ++i) {
+    switch (choice.uniform_int(0, 3)) {
+      case 0:
+        EXPECT_EQ(bits_of(ref.normal()), bits_of(sut.normal())) << i;
+        break;
+      case 1:
+        (void)ref.normal();
+        sut.skip_normal();
+        break;
+      case 2:
+        EXPECT_EQ(bits_of(ref.next_double()), bits_of(sut.next_double())) << i;
+        break;
+      default:
+        EXPECT_EQ(bits_of(ref.lognormal(2.0, 0.3)),
+                  bits_of(sut.lognormal(2.0, 0.3)))
+            << i;
+        break;
+    }
+  }
+  EXPECT_EQ(ref.next_u64(), sut.next_u64());
+}
+
+TEST(DurationDistTest, SkipMatchesDiscardedSampleOverAllKinds) {
+  const std::vector<DurationDist> dists = {
+      DurationDist::constant(sim::micros(5)),
+      DurationDist::normal(sim::micros(10), sim::micros(4)),
+      DurationDist::lognormal(sim::nanos(250), 0.15),
+      DurationDist::exponential(sim::micros(50)),
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng choice(seed * 7919);
+    Rng ref(seed);
+    Rng sut(seed);
+    for (int i = 0; i < 20'000; ++i) {
+      const auto& d = dists[static_cast<std::size_t>(choice.uniform_int(0, 3))];
+      if (choice.chance(0.5)) {
+        EXPECT_EQ(d.sample(ref), d.sample(sut)) << seed << " " << i;
+      } else {
+        (void)d.sample(ref);
+        d.skip(sut);
+      }
+    }
+    EXPECT_EQ(ref.next_u64(), sut.next_u64()) << seed;
+  }
+}
+
+TEST(DurationDistTest, ConstantSkipDrawsNothing) {
+  Rng ref(5);
+  Rng sut(5);
+  DurationDist::constant(sim::micros(5)).skip(sut);
+  EXPECT_EQ(ref.next_u64(), sut.next_u64());
 }
 
 }  // namespace
