@@ -131,6 +131,16 @@ std::vector<mem::PageRun> candidate_runs(std::uint64_t id) {
           {0x7E4A'0000'0000'0000ull + (id << 24), 135}};
 }
 
+/// fleet_like_tree's guests on the fleet's KsmLedger.
+mem::KsmLedger fleet_like_ledger(int tenants) {
+  mem::KsmLedger ledger;
+  for (int t = 0; t < tenants; ++t) {
+    ledger.advise_runs(candidate_runs(static_cast<std::uint64_t>(t)));
+  }
+  ledger.scan();
+  return ledger;
+}
+
 /// Read-only admission trial (the PR 5 hot path): one const overlap query.
 void BM_KsmProbeRuns(benchmark::State& state) {
   mem::Ksm ksm = fleet_like_tree(static_cast<int>(state.range(0)));
@@ -154,6 +164,29 @@ void BM_KsmAdviseScanRemove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KsmAdviseScanRemove)->Arg(100)->Arg(2'000);
+
+/// The fleet's admission trial on the run ledger: three hash lookups.
+void BM_KsmLedgerProbeRuns(benchmark::State& state) {
+  const auto ledger = fleet_like_ledger(static_cast<int>(state.range(0)));
+  const auto runs = candidate_runs(1'000'000);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ledger.probe_runs(runs));
+  }
+}
+BENCHMARK(BM_KsmLedgerProbeRuns)->Arg(100)->Arg(2'000);
+
+/// Admit-then-teardown on the ledger: what one guest's life costs it.
+void BM_KsmLedgerAdviseScanRemove(benchmark::State& state) {
+  auto ledger = fleet_like_ledger(static_cast<int>(state.range(0)));
+  const auto runs = candidate_runs(1'000'000);
+  for (auto _ : state) {
+    ledger.advise_runs(runs);
+    ledger.scan();
+    ledger.remove_runs(runs);
+    benchmark::DoNotOptimize(ledger.scan());
+  }
+}
+BENCHMARK(BM_KsmLedgerAdviseScanRemove)->Arg(100)->Arg(2'000);
 
 std::vector<fleet::HostView> bench_host_views(int hosts, sim::Rng& rng) {
   std::vector<fleet::HostView> views;

@@ -16,8 +16,7 @@ using platforms::WorkloadClass;
 using demand::kBootVcpus;
 using demand::workload_vcpus;
 
-/// KSM granularity for fleet guest RAM: 2 MiB (THP-sized) units keep the
-/// stable tree small enough to rescan on every admission decision.
+/// KSM granularity for fleet guest RAM: 2 MiB (THP-sized) units.
 constexpr std::uint64_t kFleetPageBytes = 2ull << 20;
 
 /// Fraction of a guest's RAM that stays untouched (zero pages) and merges
@@ -66,16 +65,23 @@ std::uint64_t program_file_id(const FleetEngine&, std::uint64_t tenant,
                 : kProgramFileBase + tenant;
 }
 
+/// Guest RAM at or above this many kFleetPageBytes units is rejected up
+/// front: private runs sit at `tenant << 24`, and the KSM ledger relies on
+/// them never reaching the next tenant's.
+constexpr std::uint64_t kMaxGuestUnits = 1ull << 24;
+
 /// Digest runs for one hypervisor tenant's guest RAM at kFleetPageBytes
 /// granularity: a merged-everywhere zero-page run, a per-image run that
 /// merges across tenants of the same platform, and a tenant-private run.
 /// Three PageRuns describe the whole guest — no per-page vector ever
-/// materializes, and the KSM stable tree ingests each run as one interval.
-/// Fills `out` (recycled across admission trials; the retry walk probes
-/// the same runs against every candidate host).
-void guest_page_runs(std::vector<mem::PageRun>& out, std::uint64_t tenant,
-                     PlatformId platform, std::uint64_t guest_ram_bytes,
-                     std::uint64_t image_bytes) {
+/// materializes. Guest and image sizes are fixed per scenario, so any two
+/// runs built in one engine run are identical or disjoint, which is the
+/// precondition mem::KsmLedger needs. Admission builds them to advise;
+/// teardown rebuilds the same runs to drop them.
+std::array<mem::PageRun, 3> guest_page_runs(std::uint64_t tenant,
+                                            PlatformId platform,
+                                            std::uint64_t guest_ram_bytes,
+                                            std::uint64_t image_bytes) {
   const std::uint64_t total = std::max<std::uint64_t>(
       1, guest_ram_bytes / kFleetPageBytes);
   const auto zero_units = static_cast<std::uint64_t>(
@@ -83,14 +89,13 @@ void guest_page_runs(std::vector<mem::PageRun>& out, std::uint64_t tenant,
   const std::uint64_t image_units =
       std::min(total - zero_units, image_bytes / kFleetPageBytes);
   const std::uint64_t private_units = total - zero_units - image_units;
-  out.clear();
-  out.push_back({0x2E80'0000'0000'0000ull, zero_units});  // zero pages: global
-  out.push_back(
+  return {{
+      {0x2E80'0000'0000'0000ull, zero_units},  // zero pages: global
       {0xBA5E'0000'0000'0000ull + (static_cast<std::uint64_t>(platform) << 32),
-       image_units});
-  out.push_back(
+       image_units},
       {0x7E4A'0000'0000'0000ull + (tenant << 24) + zero_units + image_units,
-       private_units});
+       private_units},
+  }};
 }
 
 }  // namespace
@@ -136,6 +141,16 @@ FleetEngine::FleetEngine(const std::vector<core::HostSystem*>& hosts,
 
 std::uint64_t FleetEngine::Shard::resident_bytes() const {
   return non_ksm_resident + ksm.backing_pages() * kFleetPageBytes;
+}
+
+platforms::Platform* FleetEngine::Shard::platform(PlatformId id) const {
+  platforms::Platform* p = platforms[platform_slot(id)].get();
+  if (p == nullptr) {
+    throw std::out_of_range("FleetEngine: no " +
+                            platforms::platform_id_name(id) +
+                            " instance on this host (not in the platform mix)");
+  }
+  return p;
 }
 
 double FleetEngine::Shard::cpu_factor() const {
@@ -227,18 +242,16 @@ bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
       return false;
     }
     // Read-only admission trial: probe the exact backing-page delta the
-    // guest's digest runs would cause. Only the host that admits pays the
-    // advise+scan tree mutation — a refusing candidate's stable tree is
-    // never touched (the old path paid a full advise+scan / remove+scan
-    // rollback cycle per refusal).
-    guest_page_runs(run_scratch_, t.id, t.platform_id, s.guest_ram_bytes,
-                    s.image_bytes);
-    const mem::Ksm::ProbeDelta delta = sh.ksm.probe_runs(run_scratch_);
+    // guest's digest runs would cause. Only the host that admits mutates
+    // its ledger — a refusing candidate's is never touched.
+    const auto runs = guest_page_runs(t.id, t.platform_id, s.guest_ram_bytes,
+                                      s.image_bytes);
+    const mem::KsmLedger::ProbeDelta delta = sh.ksm.probe_runs(runs);
     if (sh.resident_bytes() + delta.backing_delta * kFleetPageBytes +
             overhead > sh.ram_cap) {
       return false;
     }
-    sh.ksm.advise_runs(t.id, run_scratch_);
+    sh.ksm.advise_runs(runs);
     sh.ksm.scan();
     t.resident_bytes = overhead;
     t.ksm_registered = true;
@@ -274,9 +287,8 @@ void FleetEngine::rank_candidates(const Tenant& t, const Scenario& s) {
     v.ram_cap_bytes = sh.ram_cap;
     v.resident_bytes = sh.resident_bytes();
     v.active_tenants = sh.active;
-    const auto it = sh.tenants_by_platform.find(t.platform_id);
     v.same_platform_tenants =
-        it == sh.tenants_by_platform.end() ? 0 : it->second;
+        sh.tenants_by_platform[platform_slot(t.platform_id)];
     v.pressure.cpu_demand = sh.cpu_demand;
     v.pressure.cpu_threads = sh.host->spec().cpu_threads;
     v.pressure.net_active = sh.net_active;
@@ -335,7 +347,7 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
       first_choice = host;
     }
     last_tried = host;
-    t.platform = candidate.platforms.at(t.platform_id).get();
+    t.platform = candidate.platform(t.platform_id);
     if (admit(candidate, t, s)) {
       admitted_host = host;
     }
@@ -397,7 +409,7 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   ++sh.rollup.admitted;
   ++active_;
   ++sh.active;
-  ++sh.tenants_by_platform[t.platform_id];
+  ++sh.tenants_by_platform[platform_slot(t.platform_id)];
   notify_platform_count(sh, t.platform_id);
   sh.cpu_demand += kBootVcpus;
   t.in_flight = Tenant::InFlight::kBoot;
@@ -832,7 +844,7 @@ void FleetEngine::handle_program_step(Shard& sh, Tenant& t, const Scenario& s,
   schedule_exit(t, fx);
 }
 
-void FleetEngine::release_core(Shard& sh, Tenant& t) {
+void FleetEngine::release_core(Shard& sh, Tenant& t, const Scenario& s) {
   switch (t.in_flight) {
     case Tenant::InFlight::kBoot:
       sh.cpu_demand -= kBootVcpus;
@@ -859,20 +871,21 @@ void FleetEngine::release_core(Shard& sh, Tenant& t) {
   }
   t.in_flight = Tenant::InFlight::kNone;
   if (t.ksm_registered) {
-    sh.ksm.remove(t.id);
+    sh.ksm.remove_runs(guest_page_runs(t.id, t.platform_id, s.guest_ram_bytes,
+                                       s.image_bytes));
     sh.ksm.scan();
     t.ksm_registered = false;
   }
   sh.non_ksm_resident -= t.resident_bytes;
   t.resident_bytes = 0;
   --sh.active;
-  --sh.tenants_by_platform[t.platform_id];
+  --sh.tenants_by_platform[platform_slot(t.platform_id)];
   t.holds_resources = false;
 }
 
-void FleetEngine::release_tenant(Shard& sh, Tenant& t) {
+void FleetEngine::release_tenant(Shard& sh, Tenant& t, const Scenario& s) {
   const FleetDelta before = fleet_before(sh);
-  release_core(sh, t);
+  release_core(sh, t, s);
   --active_;
   notify_platform_count(sh, t.platform_id);
   fleet_apply(sh, before);
@@ -898,7 +911,7 @@ void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
     return;
   }
   policy_->platform_count_changed(sh.rollup.host, id,
-                                  sh.tenants_by_platform[id]);
+                                  sh.tenants_by_platform[platform_slot(id)]);
 }
 
 void FleetEngine::handle_teardown(Shard& sh, Tenant& t, const Scenario& s,
@@ -906,7 +919,7 @@ void FleetEngine::handle_teardown(Shard& sh, Tenant& t, const Scenario& s,
   // Shard-local release now; the fleet-global half (active_, fleet
   // counters, placement notification) is applied from the record.
   const FleetDelta before = fleet_before(sh);
-  release_core(sh, t);
+  release_core(sh, t, s);
   const FleetDelta after = fleet_before(sh);
   fx.delta = FleetDelta{after.resident - before.resident,
                         after.advised - before.advised,
@@ -1136,7 +1149,7 @@ void FleetEngine::drain_shard(int index, const Scenario& s, sim::Nanos now) {
     if (t.host != index || !t.holds_resources) {
       continue;
     }
-    release_tenant(sh, t);
+    release_tenant(sh, t, s);
     ++t.epoch;
     t.next_phase = 0;
     t.clock = sim::Clock(now);
@@ -1339,7 +1352,7 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
       ++v.boots_lost;
     }
     t.in_flight = Tenant::InFlight::kNone;
-    t.ksm_registered = false;  // its tree registration dies with the host
+    t.ksm_registered = false;  // its KSM registration dies with the host
     t.resident_bytes = 0;
     t.holds_resources = false;
     --active_;
@@ -1358,16 +1371,16 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
     ++v.victims;
     queue_.push(rearrive, t.id, EventKind::kArrival, t.epoch);
   }
-  // The host state dies wholesale: cold page cache, empty stable tree,
+  // The host state dies wholesale: cold page cache, empty KSM ledger,
   // every activity counter zeroed. fleet_apply folds the loss into the
   // incremental fleet counters exactly (set_peak_audit checks this).
-  sh.ksm = mem::Ksm{};
+  sh.ksm = mem::KsmLedger{};
   sh.host->page_cache().drop_caches();
   sh.non_ksm_resident = 0;
   sh.active = 0;
   sh.net_active = 0;
   sh.cpu_demand = 0.0;
-  sh.tenants_by_platform.clear();
+  sh.tenants_by_platform.fill(0);
   fleet_apply(sh, before);
   if (provisioner_ != nullptr) {
     provisioner_->retire_host(index);
@@ -1471,22 +1484,24 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
 
 void FleetEngine::init_shard(Shard& sh, int index, const Scenario& s) {
   sh.live = true;
-  sh.ksm = mem::Ksm{};
-  sh.platforms.clear();
+  sh.ksm = mem::KsmLedger{};
+  for (auto& p : sh.platforms) {
+    p.reset();
+  }
   sh.active = 0;
   sh.net_active = 0;
   sh.cpu_demand = 0.0;
   sh.non_ksm_resident = 0;
   sh.ram_cap = s.host_ram_override_bytes != 0 ? s.host_ram_override_bytes
                                               : sh.host->spec().ram_bytes;
-  sh.tenants_by_platform.clear();
+  sh.tenants_by_platform.fill(0);
   sh.rollup = HostRollup{};
   sh.rollup.host = index;
   // One shared platform instance per distinct id in the mix.
   for (const auto& share : s.platform_mix) {
-    if (sh.platforms.find(share.id) == sh.platforms.end()) {
-      sh.platforms[share.id] =
-          platforms::PlatformFactory::create(share.id, *sh.host);
+    auto& p = sh.platforms[platform_slot(share.id)];
+    if (p == nullptr) {
+      p = platforms::PlatformFactory::create(share.id, *sh.host);
     }
   }
 }
@@ -1576,6 +1591,11 @@ FleetReport FleetEngine::run(const Scenario& s) {
     // meaningful population.
     throw std::invalid_argument(
         "FleetEngine::run: phases_per_tenant must be positive");
+  }
+  if (s.guest_ram_bytes / kFleetPageBytes >= kMaxGuestUnits) {
+    throw std::invalid_argument(
+        "FleetEngine::run: guest_ram_bytes must be below 2^24 KSM units of "
+        "2 MiB (32 TiB)");
   }
   if (s.op_max_retries < 0) {
     throw std::invalid_argument(
@@ -1774,7 +1794,7 @@ FleetReport FleetEngine::run(const Scenario& s) {
     t.platform_id = seed.platform_id;
     // Named from shard 0's instance here; re-bound to the placed shard's
     // instance at every (re-)arrival.
-    t.platform = shards_.front().platforms.at(t.platform_id).get();
+    t.platform = shards_.front().platform(t.platform_id);
     t.rng = seed.rng;
     t.clock = sim::Clock(seed.arrival);
     t.rounds_left = s.churn_rounds;

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "core/host_system.h"
@@ -94,6 +93,14 @@ class FleetEngine {
   bool peak_audit_ok() const { return !peak_audit_failed_; }
 
  private:
+  /// Per-PlatformId tables are arrays indexed by platform_slot(id).
+  /// kOsvFirecracker is the enum's last enumerator.
+  static constexpr std::size_t kPlatformIdSlots =
+      static_cast<std::size_t>(platforms::PlatformId::kOsvFirecracker) + 1;
+  static std::size_t platform_slot(platforms::PlatformId id) {
+    return static_cast<std::size_t>(id);
+  }
+
   struct Tenant {
     std::uint64_t id = 0;
     platforms::PlatformId platform_id = platforms::PlatformId::kNative;
@@ -161,9 +168,12 @@ class FleetEngine {
     /// False once drained: excluded from placement snapshots and admission
     /// walks; its rollup stays in the report.
     bool live = true;
-    mem::Ksm ksm;
-    std::unordered_map<platforms::PlatformId,
-                       std::unique_ptr<platforms::Platform>>
+    /// KSM run refcounts of the guests this host holds. It keeps no
+    /// per-tenant record: teardown rebuilds a guest's runs to drop them.
+    mem::KsmLedger ksm;
+    /// One shared platform instance per id in the scenario's mix; null
+    /// for ids the mix lacks (platform() throws for those).
+    std::array<std::unique_ptr<platforms::Platform>, kPlatformIdSlots>
         platforms;
     int active = 0;      // admitted, not yet torn down
     int net_active = 0;  // tenants currently in a network phase
@@ -171,7 +181,7 @@ class FleetEngine {
     std::uint64_t non_ksm_resident = 0;
     std::uint64_t ram_cap = 0;
     /// Active tenants per platform, feeding HostView::same_platform_tenants.
-    std::unordered_map<platforms::PlatformId, int> tenants_by_platform;
+    std::array<int, kPlatformIdSlots> tenants_by_platform{};
     HostRollup rollup;
     std::uint64_t cache_hits0 = 0;   // host-model counters at run start
     std::uint64_t cache_misses0 = 0;
@@ -182,6 +192,10 @@ class FleetEngine {
 
     /// CPU contention multiplier at this host's current activity.
     double cpu_factor() const;
+
+    /// This host's instance of platform `id`; std::out_of_range if the
+    /// scenario's mix never built one.
+    platforms::Platform* platform(platforms::PlatformId id) const;
   };
 
   /// Placement and admission for one (re-)arriving tenant: a coordinator
@@ -245,7 +259,8 @@ class FleetEngine {
 
   /// Admission control against the tenant's shard: would its resident set
   /// still fit? Read-only on rejection — KSM fit is decided by
-  /// mem::Ksm::probe_runs, and only an accepted host mutates its tree.
+  /// mem::KsmLedger::probe_runs, and only an accepted host mutates its
+  /// ledger.
   bool admit(Shard& sh, Tenant& t, const Scenario& s);
 
   /// Fill ranked_ with the live-host candidate walk for an arriving
@@ -265,13 +280,13 @@ class FleetEngine {
   /// registration, resident bytes, the shard's active counters. Touches
   /// nothing fleet-global, so window workers may call it; the deltas it
   /// causes are recorded and replayed by the coordinator.
-  void release_core(Shard& sh, Tenant& t);
+  void release_core(Shard& sh, Tenant& t, const Scenario& s);
 
   /// Release everything tenant t currently charges against shard sh, plus
   /// the fleet-global bookkeeping (active_, placement notification, fleet
   /// counters). Drain migration's release; a teardown releases through
   /// release_core and its effect record.
-  void release_tenant(Shard& sh, Tenant& t);
+  void release_tenant(Shard& sh, Tenant& t, const Scenario& s);
 
   // Mid-run topology changes.
   int add_shard(const Scenario& s);
@@ -335,7 +350,6 @@ class FleetEngine {
   std::vector<Tenant> tenants_;
   std::vector<HostView> views_;  // recycled placement snapshot storage
   std::vector<int> ranked_;      // recycled candidate-walk storage
-  std::vector<mem::PageRun> run_scratch_;  // recycled guest-run storage
   hap::EpssModel epss_;
   FleetReport report_;
 
@@ -346,11 +360,6 @@ class FleetEngine {
 
   /// by_platform stats resolved once per PlatformId instead of one
   /// string-keyed map lookup per boot (ids and names are 1:1 per run).
-  static constexpr std::size_t kPlatformIdSlots = 16;
-  static_assert(static_cast<std::size_t>(
-                    platforms::PlatformId::kOsvFirecracker) <
-                    kPlatformIdSlots,
-                "grow kPlatformIdSlots when adding PlatformId enumerators");
   std::array<PlatformFleetStats*, kPlatformIdSlots> stats_by_id_{};
 
   /// by_program stats resolved once per built-in program id, mirroring

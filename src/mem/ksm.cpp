@@ -1,5 +1,8 @@
 #include "mem/ksm.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace mem {
 
 void Ksm::add_range(PageDigest lo, PageDigest hi, bool add) {
@@ -296,6 +299,158 @@ double Ksm::density_gain() const {
 }
 
 double Ksm::shared_fraction() const {
+  if (!scanned_ || advised_ == 0) {
+    return 0.0;
+  }
+  return static_cast<double>(shared_) / static_cast<double>(advised_);
+}
+
+std::size_t KsmLedger::home(PageDigest base, std::uint64_t count) const {
+  // splitmix64 finalizer over both fields: private runs differ only in
+  // bits 24 and up of their base, and the table indexes by low bits.
+  std::uint64_t x = base ^ (count * 0x9E3779B97F4A7C15ull);
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return static_cast<std::size_t>(x ^ (x >> 31)) & (slots_.size() - 1);
+}
+
+std::size_t KsmLedger::find(const PageRun& run) const {
+  if (slots_.empty()) {
+    return kAbsent;
+  }
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(run.base_digest, run.count);; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.refs == 0) {
+      return kAbsent;
+    }
+    if (s.base == run.base_digest && s.count == run.count) {
+      return i;
+    }
+  }
+}
+
+KsmLedger::Slot& KsmLedger::vacant(PageDigest base, std::uint64_t count) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(base, count);
+  while (slots_[i].refs != 0) {
+    i = (i + 1) & mask;
+  }
+  return slots_[i];
+}
+
+KsmLedger::Slot& KsmLedger::find_or_claim(const PageRun& run) {
+  const std::size_t found = find(run);
+  if (found != kAbsent) {
+    return slots_[found];
+  }
+  if ((keys_ + 1) * 4 > slots_.size() * 3) {
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.refs != 0) {
+        vacant(s.base, s.count) = s;
+      }
+    }
+  }
+  ++keys_;
+  Slot& s = vacant(run.base_digest, run.count);
+  s = Slot{run.base_digest, run.count, 0};
+  return s;
+}
+
+void KsmLedger::erase(std::size_t i) {
+  // Backward-shift deletion: an entry after the hole moves into it unless
+  // its home lies cyclically in (hole, entry], which keeps every probe
+  // chain gap-free without tombstones.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = i;
+  for (std::size_t j = (i + 1) & mask; slots_[j].refs != 0;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[j].base, slots_[j].count);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --keys_;
+}
+
+KsmLedger::ProbeDelta KsmLedger::probe_runs(PageRunView runs) const {
+  ProbeDelta delta;
+  for (const PageRun* run = runs.begin(); run != runs.end(); ++run) {
+    if (run->count == 0) {
+      continue;
+    }
+    const std::size_t found = find(*run);
+    std::uint64_t refs = found == kAbsent ? 0 : slots_[found].refs;
+    // Earlier references to the same key within this call.
+    for (const PageRun* prev = runs.begin(); prev != run; ++prev) {
+      if (prev->base_digest == run->base_digest && prev->count == run->count) {
+        ++refs;
+      }
+    }
+    if (refs == 0) {
+      delta.backing_delta += run->count;
+    } else if (refs == 1) {
+      delta.shared_delta += 2 * run->count;
+    } else {
+      delta.shared_delta += run->count;
+    }
+  }
+  return delta;
+}
+
+void KsmLedger::advise_runs(PageRunView runs) {
+  for (const PageRun& run : runs) {
+    if (run.count == 0) {
+      continue;
+    }
+    const std::uint64_t refs = find_or_claim(run).refs++;
+    if (refs == 0) {
+      distinct_ += run.count;
+    } else if (refs == 1) {
+      shared_ += 2 * run.count;  // first duplicate: both copies become shared
+    } else {
+      shared_ += run.count;
+    }
+    advised_ += run.count;
+  }
+  scanned_ = false;
+}
+
+void KsmLedger::remove_runs(PageRunView runs) {
+  for (const PageRun& run : runs) {
+    if (run.count == 0) {
+      continue;
+    }
+    const std::size_t i = find(run);
+    if (i == kAbsent) {
+      throw std::logic_error("KsmLedger::remove_runs: run was never advised");
+    }
+    const std::uint64_t refs = slots_[i].refs;
+    if (refs == 1) {
+      distinct_ -= run.count;
+      erase(i);
+    } else {
+      shared_ -= refs == 2 ? 2 * run.count : run.count;
+      slots_[i].refs = refs - 1;
+    }
+    advised_ -= run.count;
+  }
+  scanned_ = false;
+}
+
+double KsmLedger::density_gain() const {
+  const std::uint64_t backing = backing_pages();
+  if (backing == 0) {
+    return 1.0;
+  }
+  return static_cast<double>(advised_) / static_cast<double>(backing);
+}
+
+double KsmLedger::shared_fraction() const {
   if (!scanned_ || advised_ == 0) {
     return 0.0;
   }

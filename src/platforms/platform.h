@@ -33,7 +33,7 @@ enum class PlatformId {
   kKataContainers,
   kGvisor,
   kOsvQemu,
-  kOsvFirecracker,
+  kOsvFirecracker,  // keep last: FleetEngine sizes per-platform tables by it
 };
 
 std::string platform_id_name(PlatformId id);

@@ -77,6 +77,37 @@ TEST(ScenarioTest, EmptyMixIsRejected) {
   EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
+TEST(ScenarioTest, GuestOfTwoToThe24KsmUnitsIsRejected) {
+  // Private KSM runs sit at tenant << 24 in 2 MiB units; a guest that
+  // large would reach the next tenant's run. One unit less still runs.
+  constexpr std::uint64_t kUnit = 2ull << 20;
+  auto s = Scenario::coldstart_storm(4);
+  s.guest_ram_bytes = (1ull << 24) * kUnit;
+  {
+    core::HostSystem host;
+    FleetEngine engine(host);
+    EXPECT_THROW(engine.run(s), std::invalid_argument);
+  }
+  s.guest_ram_bytes = ((1ull << 24) - 1) * kUnit + (kUnit - 1);
+  core::HostSystem host;
+  FleetEngine engine(host);
+  EXPECT_NO_THROW(engine.run(s));
+}
+
+TEST(ScenarioTest, TenantOfAPlatformOutsideTheMixIsRejected) {
+  // No shard builds a platform the mix lacks; a seed naming one is an
+  // out-of-range platform lookup, not a null dereference.
+  auto s = Scenario::coldstart_storm(4);
+  s.population = s.draw_population();
+  s.population.front().platform_id = platforms::PlatformId::kLxc;
+  for (const auto& share : s.platform_mix) {
+    ASSERT_NE(share.id, platforms::PlatformId::kLxc);
+  }
+  core::HostSystem host;
+  FleetEngine engine(host);
+  EXPECT_THROW(engine.run(s), std::out_of_range);
+}
+
 // --- Engine lifecycle -----------------------------------------------------
 
 TEST(FleetEngineTest, StormRunsEveryTenantToCompletion) {

@@ -1,6 +1,8 @@
 // Tests for the memory-hierarchy and KSM models.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mem/hierarchy.h"
@@ -423,6 +425,161 @@ TEST(KsmTest, DuplicateRunsWithinOneClientCountTwice) {
   EXPECT_EQ(runs.advised_pages(), 4u);
   EXPECT_EQ(runs.backing_pages(), 2u);
   EXPECT_DOUBLE_EQ(per_page.shared_fraction(), runs.shared_fraction());
+}
+
+// --- KsmLedger: refcount-per-run model, differential against Ksm ---------
+
+void expect_same_counters(const Ksm& oracle, const mem::KsmLedger& ledger) {
+  ASSERT_EQ(ledger.advised_pages(), oracle.advised_pages());
+  ASSERT_EQ(ledger.backing_pages(), oracle.backing_pages());
+  ASSERT_EQ(ledger.shared_pages(), oracle.shared_pages());
+  ASSERT_EQ(ledger.density_gain(), oracle.density_gain());
+  ASSERT_EQ(ledger.shared_fraction(), oracle.shared_fraction());
+}
+
+TEST(KsmLedgerTest, RandomizedDifferentialAgainstIntervalOracle) {
+  constexpr mem::PageDigest kMax = ~mem::PageDigest{0};
+  sim::Rng rng(0x1ED6E7ull);
+  for (int round = 0; round < 30; ++round) {
+    // Run keys that are pairwise identical or disjoint: one digest slot
+    // per key, plus zero-count keys (empty, so disjoint from everything),
+    // a key near the top digest and one wrapping past it onto [0, 3).
+    std::vector<mem::PageRun> pool;
+    for (std::uint64_t k = 0; k < 10; ++k) {
+      pool.push_back({1000 + k * 1000 + rng.next_u64() % 100,
+                      1 + rng.next_u64() % 800});
+    }
+    pool.push_back({1000, 0});
+    pool.push_back({kMax - 2, 0});
+    pool.push_back({kMax - 20, 10});
+    pool.push_back({kMax - 4, 8});  // digests kMax-4 .. kMax, then 0 .. 2
+
+    Ksm oracle;
+    mem::KsmLedger ledger;
+    std::vector<std::pair<std::uint64_t, std::vector<mem::PageRun>>> live;
+    std::uint64_t next_vm = 0;
+    const auto draw_runs = [&] {
+      std::vector<mem::PageRun> runs;
+      const int n = static_cast<int>(rng.next_u64() % 5);  // 0..4, may repeat
+      for (int r = 0; r < n; ++r) {
+        runs.push_back(pool[rng.next_u64() % pool.size()]);
+      }
+      return runs;
+    };
+    for (int op = 0; op < 300; ++op) {
+      const std::uint64_t pick = rng.next_u64() % 100;
+      if (pick < 40 || live.empty()) {
+        const std::vector<mem::PageRun> runs = draw_runs();
+        const Ksm::ProbeDelta want = oracle.probe_runs(runs);
+        const mem::KsmLedger::ProbeDelta got = ledger.probe_runs(runs);
+        ASSERT_EQ(got.backing_delta, want.backing_delta);
+        ASSERT_EQ(got.shared_delta, want.shared_delta);
+        if (pick % 4 != 0) {  // every fourth probe stays a probe only
+          oracle.advise_runs(next_vm, runs);
+          ledger.advise_runs(runs);
+          live.emplace_back(next_vm++, runs);
+        }
+      } else if (pick < 70) {
+        const std::size_t i = rng.next_u64() % live.size();
+        oracle.remove(live[i].first);
+        ledger.remove_runs(live[i].second);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (pick < 90) {
+        ASSERT_EQ(ledger.scan(), oracle.scan());
+      } else {
+        ASSERT_EQ(ledger.unmerge(), oracle.unmerge());
+      }
+      expect_same_counters(oracle, ledger);
+    }
+    for (const auto& vm : live) {
+      oracle.remove(vm.first);
+      ledger.remove_runs(vm.second);
+    }
+    EXPECT_EQ(ledger.scan(), oracle.scan());
+    expect_same_counters(oracle, ledger);
+    EXPECT_EQ(ledger.advised_pages(), 0u);
+    EXPECT_EQ(ledger.run_keys(), 0u);
+  }
+}
+
+TEST(KsmLedgerTest, FleetShapedChurnMatchesOracle) {
+  // Thousands of guests of the fleet's three-run shape, admitted and torn
+  // down in random order: the ledger's table grows and deletes across long
+  // probe chains, and every counter must still match the interval oracle.
+  sim::Rng rng(0xF1EE7ull);
+  const auto guest = [](std::uint64_t id, std::uint64_t platform) {
+    return std::vector<mem::PageRun>{
+        {0x2E80'0000'0000'0000ull, 89},
+        {0xBA5E'0000'0000'0000ull + (platform << 32), 32},
+        {0x7E4A'0000'0000'0000ull + (id << 24) + 121, 135}};
+  };
+  Ksm oracle;
+  mem::KsmLedger ledger;
+  std::vector<std::pair<std::uint64_t, std::vector<mem::PageRun>>> live;
+  for (std::uint64_t id = 0; id < 6000; ++id) {
+    const auto runs = guest(id, rng.next_u64() % 10);
+    const Ksm::ProbeDelta want = oracle.probe_runs(runs);
+    const mem::KsmLedger::ProbeDelta got = ledger.probe_runs(runs);
+    ASSERT_EQ(got.backing_delta, want.backing_delta);
+    ASSERT_EQ(got.shared_delta, want.shared_delta);
+    oracle.advise_runs(id, runs);
+    ledger.advise_runs(runs);
+    live.emplace_back(id, runs);
+    // Tear down about two guests per three admitted, so the table both
+    // grows and churns.
+    while (!live.empty() && rng.chance(0.4)) {
+      const std::size_t i = rng.next_u64() % live.size();
+      oracle.remove(live[i].first);
+      ledger.remove_runs(live[i].second);
+      live[i] = std::move(live.back());
+      live.pop_back();
+    }
+    ASSERT_EQ(ledger.scan(), oracle.scan());
+    expect_same_counters(oracle, ledger);
+  }
+  EXPECT_GT(ledger.run_keys(), 1000u);
+  for (const auto& vm : live) {
+    oracle.remove(vm.first);
+    ledger.remove_runs(vm.second);
+    expect_same_counters(oracle, ledger);
+  }
+  EXPECT_EQ(ledger.run_keys(), 0u);
+}
+
+TEST(KsmLedgerTest, RefcountTransitionsMoveTheCounters) {
+  mem::KsmLedger ledger;
+  const std::vector<mem::PageRun> guest = {{100, 8}, {500, 3}};
+  ledger.advise_runs(guest);  // 0 -> 1: backing only
+  EXPECT_EQ(ledger.scan(), 0u);
+  EXPECT_EQ(ledger.backing_pages(), 11u);
+  EXPECT_EQ(ledger.shared_pages(), 0u);
+  ledger.advise_runs(guest);  // 1 -> 2: both copies become shared
+  EXPECT_EQ(ledger.backing_pages(), 22u);  // advised view until the scan
+  EXPECT_EQ(ledger.scan(), 11u);
+  EXPECT_EQ(ledger.shared_pages(), 22u);
+  ledger.advise_runs(guest);  // 2 -> 3: one more shared copy
+  ledger.scan();
+  EXPECT_EQ(ledger.shared_pages(), 33u);
+  EXPECT_EQ(ledger.unmerge(), 22u);
+  EXPECT_EQ(ledger.backing_pages(), 33u);
+  EXPECT_EQ(ledger.shared_pages(), 0u);
+  EXPECT_EQ(ledger.unmerge(), 0u);  // already unmerged
+  ledger.remove_runs(guest);
+  ledger.remove_runs(guest);
+  ledger.scan();
+  EXPECT_EQ(ledger.backing_pages(), 11u);
+  EXPECT_EQ(ledger.shared_pages(), 0u);
+  EXPECT_EQ(ledger.run_keys(), 2u);
+}
+
+TEST(KsmLedgerTest, RemovingARunNeverAdvisedThrows) {
+  mem::KsmLedger ledger;
+  ledger.advise_runs(std::vector<mem::PageRun>{{100, 8}});
+  EXPECT_THROW(ledger.remove_runs(std::vector<mem::PageRun>{{100, 9}}),
+               std::logic_error);
+  // Zero-count runs hold no reference and are never looked up.
+  ledger.remove_runs(std::vector<mem::PageRun>{{7, 0}});
+  EXPECT_EQ(ledger.advised_pages(), 8u);
 }
 
 }  // namespace
