@@ -4,6 +4,11 @@
 // figure harnesses run hundreds of thousands of modeled operations).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "apps/btree.h"
 #include "apps/kv_store.h"
 #include "apps/ycsb.h"
@@ -63,6 +68,45 @@ void BM_SampleSetPercentile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleSetPercentile)->Arg(300)->Arg(10'000);
+
+/// Latency-shaped samples (log-normal around 1 ms), as in a fleet report's
+/// per-op-class op_ms sets.
+stats::SampleSet latency_samples(std::int64_t n) {
+  sim::Rng rng(5);
+  stats::SampleSet samples;
+  samples.reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    samples.add(std::exp(0.8 * rng.normal()));
+  }
+  return samples;
+}
+
+/// The report's query: three ranks of one set in one selection.
+/// 1.6M is program-storm's op_ms sample count.
+void BM_SampleSetPercentiles(benchmark::State& state) {
+  const stats::SampleSet samples = latency_samples(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(samples.percentiles({50, 90, 99}));
+  }
+}
+BENCHMARK(BM_SampleSetPercentiles)->Arg(1'600'000)->Unit(benchmark::kMillisecond);
+
+/// The same three ranks by sorting a copy, the way percentile() once did.
+void BM_SampleSetPercentilesSortReference(benchmark::State& state) {
+  const stats::SampleSet samples = latency_samples(state.range(0));
+  for (auto _ : state) {
+    std::vector<double> sorted = samples.values();
+    std::sort(sorted.begin(), sorted.end());
+    const double top = static_cast<double>(sorted.size() - 1);
+    for (const double p : {50.0, 90.0, 99.0}) {
+      benchmark::DoNotOptimize(
+          sorted[static_cast<std::size_t>(std::floor(p / 100.0 * top))]);
+    }
+  }
+}
+BENCHMARK(BM_SampleSetPercentilesSortReference)
+    ->Arg(1'600'000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SyscallDispatch(benchmark::State& state) {
   hostk::HostKernel kernel;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "fleet/demand.h"
 
@@ -11,6 +12,7 @@ namespace fleet {
 namespace {
 
 using platforms::PlatformId;
+using platforms::platform_slot;
 using platforms::WorkloadClass;
 
 using demand::kBootVcpus;
@@ -972,7 +974,7 @@ void FleetEngine::apply_effects(const Effects& fx, ShardTask* replay) {
       // Creating the entry lazily (not at tenant setup) keeps platforms
       // whose tenants never booted out of the report table.
       PlatformFleetStats*& slot =
-          stats_by_id_[static_cast<std::size_t>(t.platform_id)];
+          stats_by_id_[platform_slot(t.platform_id)];
       if (slot == nullptr) {
         slot = &report_.by_platform[t.platform->name()];
         slot->platform = t.platform->name();
@@ -1911,7 +1913,9 @@ FleetReport FleetEngine::run(const Scenario& s) {
     report_.degraded[i].affected =
         static_cast<int>(degrade_affected_[i].size());
   }
-  return report_;
+  // Moved, not copied: the next run resets report_ and refills every
+  // cached stats slot before touching them.
+  return std::move(report_);
 }
 
 }  // namespace fleet

@@ -93,14 +93,6 @@ class FleetEngine {
   bool peak_audit_ok() const { return !peak_audit_failed_; }
 
  private:
-  /// Per-PlatformId tables are arrays indexed by platform_slot(id).
-  /// kOsvFirecracker is the enum's last enumerator.
-  static constexpr std::size_t kPlatformIdSlots =
-      static_cast<std::size_t>(platforms::PlatformId::kOsvFirecracker) + 1;
-  static std::size_t platform_slot(platforms::PlatformId id) {
-    return static_cast<std::size_t>(id);
-  }
-
   struct Tenant {
     std::uint64_t id = 0;
     platforms::PlatformId platform_id = platforms::PlatformId::kNative;
@@ -173,7 +165,8 @@ class FleetEngine {
     mem::KsmLedger ksm;
     /// One shared platform instance per id in the scenario's mix; null
     /// for ids the mix lacks (platform() throws for those).
-    std::array<std::unique_ptr<platforms::Platform>, kPlatformIdSlots>
+    std::array<std::unique_ptr<platforms::Platform>,
+               platforms::kPlatformIdSlots>
         platforms;
     int active = 0;      // admitted, not yet torn down
     int net_active = 0;  // tenants currently in a network phase
@@ -181,7 +174,7 @@ class FleetEngine {
     std::uint64_t non_ksm_resident = 0;
     std::uint64_t ram_cap = 0;
     /// Active tenants per platform, feeding HostView::same_platform_tenants.
-    std::array<int, kPlatformIdSlots> tenants_by_platform{};
+    std::array<int, platforms::kPlatformIdSlots> tenants_by_platform{};
     HostRollup rollup;
     std::uint64_t cache_hits0 = 0;   // host-model counters at run start
     std::uint64_t cache_misses0 = 0;
@@ -360,7 +353,7 @@ class FleetEngine {
 
   /// by_platform stats resolved once per PlatformId instead of one
   /// string-keyed map lookup per boot (ids and names are 1:1 per run).
-  std::array<PlatformFleetStats*, kPlatformIdSlots> stats_by_id_{};
+  std::array<PlatformFleetStats*, platforms::kPlatformIdSlots> stats_by_id_{};
 
   /// by_program stats resolved once per built-in program id, mirroring
   /// stats_by_id_.

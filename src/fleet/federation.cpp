@@ -1,8 +1,10 @@
 #include "fleet/federation.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -171,14 +173,14 @@ class PlatformAffinityRouting final
 
   void platform_count_changed(int cell, platforms::PlatformId platform,
                               int count) override {
-    auto& per_cell = counts_[platform];
+    auto& per_cell = counts_[platforms::platform_slot(platform)];
     if (per_cell.size() <= static_cast<std::size_t>(cell)) {
       per_cell.resize(static_cast<std::size_t>(cell) + 1, 0);
     }
     per_cell[static_cast<std::size_t>(cell)] = count;
-    const auto it = heaps_.find(platform);
-    if (it != heaps_.end() && it->second.contains(cell)) {
-      it->second.update(cell);
+    auto& heap = heaps_[platforms::platform_slot(platform)];
+    if (heap && heap->contains(cell)) {
+      heap->update(cell);
     }
   }
 
@@ -186,23 +188,19 @@ class PlatformAffinityRouting final
     restore_popped();
     walk_platform_ = req.platform_id;
     has_walked_ = true;
-    auto it = heaps_.find(walk_platform_);
-    if (it == heaps_.end()) {
-      it = heaps_
-               .emplace(walk_platform_, IndexedHeap<CellAffinityCmp>(
-                                            CellAffinityCmp{this,
-                                                            walk_platform_}))
-               .first;
+    auto& heap = heaps_[platforms::platform_slot(walk_platform_)];
+    if (!heap) {
+      heap.emplace(CellAffinityCmp{this, walk_platform_});
       for (std::size_t i = 0; i < live_.size(); ++i) {
         if (live_[i] != 0) {
-          it->second.push(static_cast<int>(i));
+          heap->push(static_cast<int>(i));
         }
       }
     }
   }
 
   int walk_next() override {
-    auto& heap = heaps_.at(walk_platform_);
+    auto& heap = *heaps_[platforms::platform_slot(walk_platform_)];
     if (heap.empty()) {
       return -1;
     }
@@ -212,12 +210,10 @@ class PlatformAffinityRouting final
   }
 
   int count_for(platforms::PlatformId platform, int cell) const {
-    const auto it = counts_.find(platform);
-    if (it == counts_.end() ||
-        it->second.size() <= static_cast<std::size_t>(cell)) {
-      return 0;
-    }
-    return it->second[static_cast<std::size_t>(cell)];
+    const auto& per_cell = counts_[platforms::platform_slot(platform)];
+    return per_cell.size() <= static_cast<std::size_t>(cell)
+               ? 0
+               : per_cell[static_cast<std::size_t>(cell)];
   }
 
   const CellState& state_of(int cell) const {
@@ -226,26 +222,32 @@ class PlatformAffinityRouting final
 
  protected:
   void reset_orderings() override {
-    heaps_.clear();
-    counts_.clear();
+    for (auto& heap : heaps_) {
+      heap.reset();
+    }
+    for (auto& per_platform : counts_) {
+      per_platform.clear();
+    }
     has_walked_ = false;
   }
   void target_added(int cell) override {
-    for (auto& [platform, heap] : heaps_) {
-      heap.push(cell);
+    for (auto& heap : heaps_) {
+      if (heap) {
+        heap->push(cell);
+      }
     }
   }
   void target_changed(int cell) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(cell)) {
-        heap.update(cell);
+    for (auto& heap : heaps_) {
+      if (heap && heap->contains(cell)) {
+        heap->update(cell);
       }
     }
   }
   void target_dropped(int cell) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(cell)) {
-        heap.erase(cell);
+    for (auto& heap : heaps_) {
+      if (heap && heap->contains(cell)) {
+        heap->erase(cell);
       }
     }
   }
@@ -255,7 +257,7 @@ class PlatformAffinityRouting final
       popped_.clear();
       return;
     }
-    auto& heap = heaps_.at(walk_platform_);
+    auto& heap = *heaps_[platforms::platform_slot(walk_platform_)];
     for (const int cell : popped_) {
       if (is_live(cell) && !heap.contains(cell)) {
         heap.push(cell);
@@ -265,8 +267,12 @@ class PlatformAffinityRouting final
   }
 
  private:
-  std::unordered_map<platforms::PlatformId, std::vector<int>> counts_;
-  std::unordered_map<platforms::PlatformId, IndexedHeap<CellAffinityCmp>>
+  /// Per-platform co-tenant counts by cell, and the platform's lazily
+  /// built ordering (absent until its first walk), indexed by
+  /// platforms::platform_slot.
+  std::array<std::vector<int>, platforms::kPlatformIdSlots> counts_;
+  std::array<std::optional<IndexedHeap<CellAffinityCmp>>,
+             platforms::kPlatformIdSlots>
       heaps_;
   platforms::PlatformId walk_platform_ = platforms::PlatformId::kNative;
   bool has_walked_ = false;
@@ -407,9 +413,9 @@ std::string FederationReport::to_text() const {
            std::to_string(outage_rerouted) + " re-routed, " +
            std::to_string(outage_lost) + " lost";
     if (!outage_replace_ms.empty()) {
-      out += "; re-place p50 " + fmt("%.2f", outage_replace_ms.percentile(50)) +
-             " ms, p99 " + fmt("%.2f", outage_replace_ms.percentile(99)) +
-             " ms";
+      const std::vector<double> q = outage_replace_ms.percentiles({50, 99});
+      out += "; re-place p50 " + fmt("%.2f", q[0]) + " ms, p99 " +
+             fmt("%.2f", q[1]) + " ms";
     }
     out += "\n";
   }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <array>
+#include <optional>
 
 #include "fleet/indexed_heap.h"
 
@@ -218,14 +219,14 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
 
   void platform_count_changed(int host, platforms::PlatformId platform,
                               int count) override {
-    auto& per_host = counts_[platform];
+    auto& per_host = counts_[platforms::platform_slot(platform)];
     if (per_host.size() <= static_cast<std::size_t>(host)) {
       per_host.resize(static_cast<std::size_t>(host) + 1, 0);
     }
     per_host[static_cast<std::size_t>(host)] = count;
-    const auto it = heaps_.find(platform);
-    if (it != heaps_.end() && it->second.contains(host)) {
-      it->second.update(host);
+    auto& heap = heaps_[platforms::platform_slot(platform)];
+    if (heap && heap->contains(host)) {
+      heap->update(host);
     }
   }
 
@@ -233,25 +234,22 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
     restore_popped();
     walk_platform_ = req.platform_id;
     has_walked_ = true;
-    auto it = heaps_.find(walk_platform_);
-    if (it == heaps_.end()) {
+    auto& heap = heaps_[platforms::platform_slot(walk_platform_)];
+    if (!heap) {
       // First arrival of this platform: build its ordering lazily from the
       // current live set (counts default to zero, so this is just a
       // free-RAM ordering until piles form).
-      it = heaps_.emplace(walk_platform_,
-                          IndexedHeap<AffinityCmp>(
-                              AffinityCmp{this, walk_platform_}))
-               .first;
+      heap.emplace(AffinityCmp{this, walk_platform_});
       for (std::size_t i = 0; i < live_.size(); ++i) {
         if (live_[i] != 0) {
-          it->second.push(static_cast<int>(i));
+          heap->push(static_cast<int>(i));
         }
       }
     }
   }
 
   int walk_next() override {
-    auto& heap = heaps_.at(walk_platform_);
+    auto& heap = *heaps_[platforms::platform_slot(walk_platform_)];
     if (heap.empty()) {
       return -1;
     }
@@ -261,12 +259,10 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
   }
 
   int count_for(platforms::PlatformId platform, int host) const {
-    const auto it = counts_.find(platform);
-    if (it == counts_.end() ||
-        it->second.size() <= static_cast<std::size_t>(host)) {
-      return 0;
-    }
-    return it->second[static_cast<std::size_t>(host)];
+    const auto& per_host = counts_[platforms::platform_slot(platform)];
+    return per_host.size() <= static_cast<std::size_t>(host)
+               ? 0
+               : per_host[static_cast<std::size_t>(host)];
   }
 
   const HostState& state_of(int host) const {
@@ -275,26 +271,32 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
 
  protected:
   void reset_orderings() override {
-    heaps_.clear();
-    counts_.clear();
+    for (auto& heap : heaps_) {
+      heap.reset();
+    }
+    for (auto& per_platform : counts_) {
+      per_platform.clear();
+    }
     has_walked_ = false;
   }
   void target_added(int host) override {
-    for (auto& [platform, heap] : heaps_) {
-      heap.push(host);
+    for (auto& heap : heaps_) {
+      if (heap) {
+        heap->push(host);
+      }
     }
   }
   void target_changed(int host) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(host)) {
-        heap.update(host);
+    for (auto& heap : heaps_) {
+      if (heap && heap->contains(host)) {
+        heap->update(host);
       }
     }
   }
   void target_dropped(int host) override {
-    for (auto& [platform, heap] : heaps_) {
-      if (heap.contains(host)) {
-        heap.erase(host);
+    for (auto& heap : heaps_) {
+      if (heap && heap->contains(host)) {
+        heap->erase(host);
       }
     }
   }
@@ -304,7 +306,7 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
       popped_.clear();
       return;
     }
-    auto& heap = heaps_.at(walk_platform_);
+    auto& heap = *heaps_[platforms::platform_slot(walk_platform_)];
     for (const int host : popped_) {
       if (is_live(host) && !heap.contains(host)) {
         heap.push(host);
@@ -314,8 +316,13 @@ class KsmAffinityPlacement final : public IncrementalPolicy {
   }
 
  private:
-  std::unordered_map<platforms::PlatformId, std::vector<int>> counts_;
-  std::unordered_map<platforms::PlatformId, IndexedHeap<AffinityCmp>> heaps_;
+  /// Per-platform co-tenant counts by host, and the platform's lazily
+  /// built ordering (absent until its first walk), indexed by
+  /// platforms::platform_slot.
+  std::array<std::vector<int>, platforms::kPlatformIdSlots> counts_;
+  std::array<std::optional<IndexedHeap<AffinityCmp>>,
+             platforms::kPlatformIdSlots>
+      heaps_;
   platforms::PlatformId walk_platform_ = platforms::PlatformId::kNative;
   bool has_walked_ = false;
 };

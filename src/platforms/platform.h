@@ -9,6 +9,7 @@
 // configurations the paper evaluates.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -33,8 +34,17 @@ enum class PlatformId {
   kKataContainers,
   kGvisor,
   kOsvQemu,
-  kOsvFirecracker,  // keep last: FleetEngine sizes per-platform tables by it
+  kOsvFirecracker,  // keep last: kPlatformIdSlots counts through it
 };
+
+/// Number of PlatformId values. Per-platform tables (the fleet engine's
+/// shard tables, the affinity placements' orderings) are arrays of this
+/// size indexed by platform_slot(id).
+inline constexpr std::size_t kPlatformIdSlots =
+    static_cast<std::size_t>(PlatformId::kOsvFirecracker) + 1;
+constexpr std::size_t platform_slot(PlatformId id) {
+  return static_cast<std::size_t>(id);
+}
 
 std::string platform_id_name(PlatformId id);
 

@@ -3,6 +3,21 @@
 // The paper reports mean +- stddev bar charts for most figures, p90 for the
 // netperf latency figure, and CDFs over 300 startups for the boot figures.
 // SampleSet supports all three from one container.
+//
+// Percentiles are exact order statistics found by selection over the
+// retained samples, never by sorting them. A set of up to kSmallSet samples
+// runs std::nth_element on a local copy. A larger one maps each sample to
+// an order-preserving 64-bit key, finds the keys' range in one pass and
+// counts the samples into 2^16 buckets over it in the next. Each requested
+// rank falls in one bucket, which is split the same way while it holds
+// more than 2^14 samples and is then gathered alone for std::nth_element;
+// no pass copies the whole set. The result is bit-identical to sorting the
+// samples and interpolating between neighbouring ranks, up to the sign of
+// a zero: std::sort orders -0.0 and +0.0 as equal, so it fixes neither at
+// a rank. percentiles() serves several p from the same passes. cdf() sorts
+// a local copy and fraction_below() counts. Nothing is cached, so a const
+// SampleSet has no hidden state and concurrent const reads are
+// thread-safe.
 #pragma once
 
 #include <cstddef>
@@ -19,13 +34,17 @@ struct CdfPoint {
   double fraction;
 };
 
-/// Collects raw observations and serves order statistics.
+/// Collects raw observations and serves order statistics. Samples must not
+/// be NaN (std::sort has no order for them either).
 class SampleSet {
  public:
+  /// Sets of at most this many samples select on a local copy.
+  static constexpr std::size_t kSmallSet = std::size_t{1} << 14;
+
   SampleSet() = default;
   explicit SampleSet(std::vector<double> values);
 
-  void add(double x);
+  void add(double x) { values_.push_back(x); }
   void reserve(std::size_t n) { values_.reserve(n); }
 
   std::size_t size() const { return values_.size(); }
@@ -35,6 +54,10 @@ class SampleSet {
   /// Linear-interpolated percentile, p in [0, 100]. Throws when empty or
   /// p is out of range.
   double percentile(double p) const;
+
+  /// percentile() of each p, in order, from one selection over the set.
+  /// Throws like percentile() for any p.
+  std::vector<double> percentiles(const std::vector<double>& ps) const;
 
   double median() const { return percentile(50.0); }
 
@@ -49,11 +72,7 @@ class SampleSet {
   double fraction_below(double x) const;
 
  private:
-  void ensure_sorted() const;
-
   std::vector<double> values_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
 };
 
 }  // namespace stats

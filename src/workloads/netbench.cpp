@@ -1,6 +1,7 @@
 #include "workloads/netbench.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace workloads {
 
@@ -37,9 +38,10 @@ NetperfResult Netperf::run(platforms::Platform& platform, sim::Clock& clock,
     result.rtts_us.add(sim::to_micros(rtt));
     clock.advance(rtt);
   }
-  result.p50_us = result.rtts_us.percentile(50);
-  result.p90_us = result.rtts_us.percentile(90);
-  result.p99_us = result.rtts_us.percentile(99);
+  const std::vector<double> q = result.rtts_us.percentiles({50, 90, 99});
+  result.p50_us = q[0];
+  result.p90_us = q[1];
+  result.p99_us = q[2];
   return result;
 }
 

@@ -135,6 +135,49 @@ TEST(FleetEngineTest, StormRunsEveryTenantToCompletion) {
   EXPECT_EQ(report.peak_active, 64);  // storm: everyone in flight at once
 }
 
+TEST(FleetEngineTest, ReturnedReportSurvivesTheEnginesNextRun) {
+  // run() moves its report out. A second run on the same engine must start
+  // from a fresh report and write through no stats slot cached in the one
+  // it handed back.
+  Scenario s = Scenario::program_storm(48, 1);
+  core::HostSystem host;
+  FleetEngine engine(host);
+  const FleetReport first = engine.run(s);
+  const std::string text = first.to_text();
+  s.seed += 1;
+  const FleetReport second = engine.run(s);
+  ASSERT_GT(second.admitted, 0);
+
+  int platform_tenants = 0;
+  std::size_t boot_samples = 0;
+  for (const auto& [name, stats] : first.by_platform) {
+    platform_tenants += stats.tenants;
+    boot_samples += stats.boot_ms.size();
+  }
+  EXPECT_EQ(platform_tenants, first.admitted);
+  EXPECT_EQ(boot_samples, static_cast<std::size_t>(first.admitted));
+  EXPECT_EQ(first.cluster_boot_ms.size(), boot_samples);
+  int program_tenants = 0;
+  std::uint64_t ops = 0;
+  std::size_t op_samples = 0;
+  for (const auto& [name, prog] : first.by_program) {
+    program_tenants += prog.tenants;
+    for (const auto& cls : prog.by_class) {
+      ops += cls.ops;
+      op_samples += cls.op_ms.size();
+    }
+  }
+  EXPECT_GT(program_tenants, 0);
+  EXPECT_LE(program_tenants, first.admitted);
+  EXPECT_GE(ops, op_samples);
+  EXPECT_GT(op_samples, 0u);
+  // The "programs:" line renders the same op total, and nothing moved.
+  EXPECT_NE(text.find(std::to_string(program_tenants) + " tenants, " +
+                      std::to_string(ops) + " ops"),
+            std::string::npos);
+  EXPECT_EQ(first.to_text(), text);
+}
+
 TEST(FleetEngineTest, FleetHapRollupCoversTheRun) {
   const auto report = run_fresh(Scenario::coldstart_storm(16));
   EXPECT_GT(report.hap.distinct_functions, 0u);

@@ -125,10 +125,13 @@ TEST(ProgramTest, ProgramSloVerdictComparesPerClassP99) {
   p.by_class[cls_index(OpClass::kFile)].ops = 1;
   p.by_class[cls_index(OpClass::kFile)].op_ms.add(1.0);
   EXPECT_TRUE(r.program_slo_pass());
+  // to_text() folds its own verdict from the p99s it renders.
+  EXPECT_NE(r.to_text().find("p99 within 5.00 ms -> PASS"), std::string::npos);
   // One class over budget fails the whole fleet verdict.
   p.by_class[cls_index(OpClass::kSync)].ops = 1;
   p.by_class[cls_index(OpClass::kSync)].op_ms.add(9.0);
   EXPECT_FALSE(r.program_slo_pass());
+  EXPECT_NE(r.to_text().find("p99 within 5.00 ms -> FAIL"), std::string::npos);
   r.op_slo_ms = 0;  // clearing the budget clears the verdict
   EXPECT_TRUE(r.program_slo_pass());
 }
