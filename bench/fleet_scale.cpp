@@ -301,7 +301,8 @@ Record chaos_record(int tenants, int hosts) {
 }
 
 /// Per-tenant interpreted syscall programs: op totals, the worst per-class
-/// op p99 and the SLO verdict (1 pass, 0 fail).
+/// op p99 and the SLO verdict (1 pass, 0 fail), which holds when the worst
+/// p99 fits, as program_slo_pass() would find.
 Record programs_record(int tenants, int hosts) {
   const auto s = fleet::Scenario::program_storm(tenants, hosts);
   Record rec{"program-storm", join({tenants, hosts}),
@@ -321,7 +322,7 @@ Record programs_record(int tenants, int hosts) {
   rec.count("program_tenants", program_tenants)
       .count("total_ops", total_ops)
       .count("op_p99_worst_ms", op_p99_worst_ms, 3)
-      .count("slo_pass", r.program_slo_pass() ? 1 : 0)
+      .count("slo_pass", r.op_p99_within_slo(op_p99_worst_ms) ? 1 : 0)
       .count("makespan_ms", sim::to_millis(r.makespan), 2);
   return rec;
 }

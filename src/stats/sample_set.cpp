@@ -2,169 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 
 namespace stats {
 
 namespace {
 
-constexpr std::size_t kBuckets = std::size_t{1} << 16;
-/// A bucket of at most this many samples is gathered and finished with
-/// std::nth_element; a larger one is split again by its next key digit.
-constexpr std::size_t kGatherMax = std::size_t{1} << 14;
-constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
-
-/// Order-preserving key: a < b implies order_key(a) < order_key(b), for
-/// non-NaN doubles. -0.0 keys just below +0.0, one of the orders std::sort
-/// may leave two equal zeros in. Branch-free: every pass runs it on every
-/// sample.
-std::uint64_t order_key(double x) {
-  std::uint64_t u;
-  std::memcpy(&u, &x, sizeof u);
-  return u ^ ((std::uint64_t{0} - (u >> 63)) | kSignBit);
-}
-
-double from_key(std::uint64_t key) {
-  const std::uint64_t u = (key & kSignBit) != 0 ? key & ~kSignBit : ~key;
-  double x;
-  std::memcpy(&x, &u, sizeof x);
-  return x;
-}
-
-/// The samples whose keys lie in [lo, hi]. They hold sorted positions
-/// [base, base + count), and ranks [first, last) of the requested ones fall
-/// inside. A counting pass splits the range into buckets of 2^shift keys,
-/// with shift the least that needs at most kBuckets of them.
-struct Span {
-  std::uint64_t lo;
-  std::uint64_t hi;
-  std::size_t base;
-  std::size_t count;
-  std::size_t first;
-  std::size_t last;
-  int shift = 0;
-
-  Span(std::uint64_t lo_key, std::uint64_t hi_key, std::size_t base_rank,
-       std::size_t samples, std::size_t first_rank, std::size_t last_rank)
-      : lo(lo_key), hi(hi_key), base(base_rank), count(samples),
-        first(first_rank), last(last_rank) {
-    while (((hi - lo) >> shift) >= kBuckets) {
-      ++shift;
-    }
-  }
-  bool holds(std::uint64_t key) const { return key - lo <= hi - lo; }
-  std::size_t bucket(std::uint64_t key) const {
-    return static_cast<std::size_t>((key - lo) >> shift);
-  }
-};
-
-/// out[i] = the value at sorted position ranks[i], for ranks[first, last)
-/// inside `buf`, whose first element would sit at sorted position `base`.
-/// Successive nth_element calls each partition what the last one left
-/// above its rank, since the ranks ascend.
-void nth_ranks(std::vector<double>& buf, std::size_t base,
-               const std::vector<std::size_t>& ranks, std::size_t first,
-               std::size_t last, std::vector<double>& out) {
-  auto begin = buf.begin();
-  for (std::size_t i = first; i < last; ++i) {
-    const auto nth = buf.begin() + static_cast<std::ptrdiff_t>(ranks[i] - base);
-    std::nth_element(begin, nth, buf.end());
-    out[i] = *nth;
-    begin = nth + 1;
-  }
-}
-
 /// out[i] = the value at sorted position ranks[i] of `v`. `ranks` ascend,
-/// are distinct and lie below v.size().
+/// are distinct and lie below v.size(). Successive nth_element calls on a
+/// local copy each partition what the last one left above its rank.
 std::vector<double> select_ranks(const std::vector<double>& v,
                                  const std::vector<std::size_t>& ranks) {
-  std::vector<double> out(ranks.size());
-  if (v.size() <= SampleSet::kSmallSet ||
-      v.size() > std::numeric_limits<std::uint32_t>::max()) {
-    std::vector<double> copy(v);
-    nth_ranks(copy, 0, ranks, 0, ranks.size(), out);
-    return out;
-  }
-  // The first pass buckets the samples' own key range, so its buckets are
-  // fine wherever the data lie. One counting pass per level narrows every
-  // rank to a bucket; all the spans still too large to gather share it.
-  std::uint64_t min_key = ~std::uint64_t{0};
-  std::uint64_t max_key = 0;
-  for (const double x : v) {
-    const std::uint64_t key = order_key(x);
-    min_key = std::min(min_key, key);
-    max_key = std::max(max_key, key);
-  }
-  std::vector<Span> open{
-      Span(min_key, max_key, 0, v.size(), 0, ranks.size())};
-  std::vector<Span> gather;
-  std::vector<std::uint32_t> hist;
-  while (!open.empty()) {
-    hist.assign(open.size() * kBuckets, 0);
-    for (const double x : v) {
-      const std::uint64_t key = order_key(x);
-      for (std::size_t s = 0; s < open.size(); ++s) {
-        if (open[s].holds(key)) {
-          ++hist[s * kBuckets + open[s].bucket(key)];
-          break;
-        }
-      }
-    }
-    std::vector<Span> next;
-    for (std::size_t s = 0; s < open.size(); ++s) {
-      const Span& span = open[s];
-      std::size_t base = span.base;
-      std::size_t r = span.first;
-      for (std::size_t b = 0; r < span.last; ++b) {
-        const std::size_t count = hist[s * kBuckets + b];
-        // Buckets tile the span; the last may reach past its max key,
-        // where no sample lies.
-        const std::uint64_t lo = span.lo + (std::uint64_t{b} << span.shift);
-        const std::uint64_t hi = lo + ((std::uint64_t{1} << span.shift) - 1);
-        const std::size_t first = r;
-        base += count;
-        while (r < span.last && ranks[r] < base) {
-          ++r;
-        }
-        if (first == r) {
-          continue;
-        }
-        if (lo == hi) {
-          // Every sample in a one-key bucket equals this one value.
-          std::fill(out.begin() + static_cast<std::ptrdiff_t>(first),
-                    out.begin() + static_cast<std::ptrdiff_t>(r),
-                    from_key(lo));
-        } else if (count <= kGatherMax) {
-          gather.emplace_back(lo, hi, base - count, count, first, r);
-        } else {
-          next.emplace_back(lo, hi, base - count, count, first, r);
-        }
-      }
-    }
-    open = std::move(next);
-  }
-  if (gather.empty()) {
-    return out;
-  }
-  std::vector<std::vector<double>> bufs(gather.size());
-  for (std::size_t s = 0; s < gather.size(); ++s) {
-    bufs[s].reserve(gather[s].count);
-  }
-  for (const double x : v) {
-    const std::uint64_t key = order_key(x);
-    for (std::size_t s = 0; s < gather.size(); ++s) {
-      if (gather[s].holds(key)) {
-        bufs[s].push_back(x);
-        break;
-      }
-    }
-  }
-  for (std::size_t s = 0; s < gather.size(); ++s) {
-    nth_ranks(bufs[s], gather[s].base, ranks, gather[s].first, gather[s].last,
-              out);
+  std::vector<double> copy(v);
+  std::vector<double> out;
+  out.reserve(ranks.size());
+  auto begin = copy.begin();
+  for (const std::size_t rank : ranks) {
+    const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(rank);
+    std::nth_element(begin, nth, copy.end());
+    out.push_back(*nth);
+    begin = nth + 1;
   }
   return out;
 }

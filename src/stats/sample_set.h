@@ -4,20 +4,15 @@
 // netperf latency figure, and CDFs over 300 startups for the boot figures.
 // SampleSet supports all three from one container.
 //
-// Percentiles are exact order statistics found by selection over the
-// retained samples, never by sorting them. A set of up to kSmallSet samples
-// runs std::nth_element on a local copy. A larger one maps each sample to
-// an order-preserving 64-bit key, finds the keys' range in one pass and
-// counts the samples into 2^16 buckets over it in the next. Each requested
-// rank falls in one bucket, which is split the same way while it holds
-// more than 2^14 samples and is then gathered alone for std::nth_element;
-// no pass copies the whole set. The result is bit-identical to sorting the
-// samples and interpolating between neighbouring ranks, up to the sign of
-// a zero: std::sort orders -0.0 and +0.0 as equal, so it fixes neither at
-// a rank. percentiles() serves several p from the same passes. cdf() sorts
-// a local copy and fraction_below() counts. Nothing is cached, so a const
-// SampleSet has no hidden state and concurrent const reads are
-// thread-safe.
+// Percentiles are exact order statistics found by selection, never by
+// sorting: successive std::nth_element calls on a local copy of the samples
+// find the ranks each p interpolates between, and the copy is freed on
+// return. The result is bit-identical to sorting the samples and
+// interpolating between neighbouring ranks, up to the sign of a zero:
+// std::sort orders -0.0 and +0.0 as equal, so it fixes neither at a rank.
+// percentiles() serves several p from one copy. cdf() sorts a local copy
+// and fraction_below() counts. Nothing is cached, so a const SampleSet has
+// no hidden state and concurrent const reads are thread-safe.
 #pragma once
 
 #include <cstddef>
@@ -38,9 +33,6 @@ struct CdfPoint {
 /// be NaN (std::sort has no order for them either).
 class SampleSet {
  public:
-  /// Sets of at most this many samples select on a local copy.
-  static constexpr std::size_t kSmallSet = std::size_t{1} << 14;
-
   SampleSet() = default;
   explicit SampleSet(std::vector<double> values);
 

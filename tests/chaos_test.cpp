@@ -475,4 +475,40 @@ TEST(ChaosTest, ChaosBuiltinsAreThreadCountInvariant) {
   }
 }
 
+// --- Recovery SLO verdict ----------------------------------------------------
+
+TEST(ChaosTest, RenderedRecoveryVerdictsMatchRecoverySloPass) {
+  FleetReport r;
+  r.replace_slo_ms = sim::millis(5);
+  FleetReport::RecoveryVerdict partition;
+  partition.kind = "partition";
+  r.recovery.push_back(partition);
+  FleetReport::RecoveryVerdict crash;
+  crash.kind = "crash";
+  crash.victims = 2;
+  crash.readmitted = 2;
+  crash.replace_ms.add(1.0);
+  crash.replace_ms.add(4.0);
+  r.recovery.push_back(crash);
+  EXPECT_TRUE(r.recovery_slo_pass());
+  std::string text = r.to_text();
+  EXPECT_NE(text.find("; SLO PASS"), std::string::npos);
+  EXPECT_NE(text.find("no loss -> PASS"), std::string::npos);
+  // A p99 over budget fails the fault and the fleet verdict.
+  r.recovery.back().replace_ms.add(9.0);
+  EXPECT_FALSE(r.recovery.back().slo_pass(r.replace_slo_ms));
+  EXPECT_FALSE(r.recovery_slo_pass());
+  text = r.to_text();
+  EXPECT_NE(text.find("; SLO FAIL"), std::string::npos);
+  EXPECT_NE(text.find("no loss -> FAIL"), std::string::npos);
+  // So does a lost victim, with no re-placements to select from.
+  FleetReport::RecoveryVerdict lost;
+  lost.kind = "crash";
+  lost.victims = 1;
+  lost.lost = 1;
+  r.recovery = {partition, lost};
+  EXPECT_FALSE(r.recovery_slo_pass());
+  EXPECT_NE(r.to_text().find("no loss -> FAIL"), std::string::npos);
+}
+
 }  // namespace
