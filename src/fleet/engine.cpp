@@ -61,8 +61,8 @@ std::uint64_t image_file_id(PlatformId id) {
 constexpr std::uint64_t kProgramFileBase = 0x509A'0000'0000ull;
 constexpr std::uint64_t kProgramSharedBase = 0xA119'0000'0000ull;
 
-std::uint64_t program_file_id(const FleetEngine&, std::uint64_t tenant,
-                              int program, bool shared) {
+std::uint64_t program_file_id(std::uint64_t tenant, int program,
+                              bool shared) {
   return shared ? kProgramSharedBase + static_cast<std::uint64_t>(program)
                 : kProgramFileBase + tenant;
 }
@@ -153,6 +153,15 @@ platforms::Platform* FleetEngine::Shard::platform(PlatformId id) const {
                             " instance on this host (not in the platform mix)");
   }
   return p;
+}
+
+std::optional<sim::Nanos> FleetEngine::Shard::read_through(
+    std::uint64_t file, std::uint64_t bytes, sim::Rng& rng) {
+  const std::uint64_t misses = host->page_cache().access_range(file, 0, bytes);
+  if (misses == 0) {
+    return std::nullopt;
+  }
+  return host->nvme().read(misses * hostk::PageCache::kPageSize, rng);
 }
 
 double FleetEngine::Shard::cpu_factor() const {
@@ -272,48 +281,6 @@ bool FleetEngine::admit(Shard& sh, Tenant& t, const Scenario& s) {
   return true;
 }
 
-void FleetEngine::rank_candidates(const Tenant& t, const Scenario& s) {
-  ranked_.clear();
-  if (shards_.size() == 1) {
-    ranked_.push_back(0);
-    return;
-  }
-  views_.clear();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& sh = shards_[i];
-    if (!sh.live) {
-      continue;  // draining/retired hosts take no new placements
-    }
-    HostView v;
-    v.index = static_cast<int>(i);
-    v.ram_cap_bytes = sh.ram_cap;
-    v.resident_bytes = sh.resident_bytes();
-    v.active_tenants = sh.active;
-    v.same_platform_tenants =
-        sh.tenants_by_platform[platform_slot(t.platform_id)];
-    v.pressure.cpu_demand = sh.cpu_demand;
-    v.pressure.cpu_threads = sh.host->spec().cpu_threads;
-    v.pressure.net_active = sh.net_active;
-    views_.push_back(v);
-  }
-  PlacementRequest req;
-  req.tenant_id = t.id;
-  req.platform_id = t.platform_id;
-  req.hypervisor_backed = is_hypervisor_backed(t.platform_id);
-  req.guest_ram_bytes = s.guest_ram_bytes;
-  policy_->rank_hosts(req, views_, ranked_);
-  if (ranked_.empty()) {
-    throw std::logic_error("PlacementPolicy::rank_hosts ranked no hosts");
-  }
-  for (const int host : ranked_) {
-    if (host < 0 || host >= static_cast<int>(shards_.size()) ||
-        !shards_[static_cast<std::size_t>(host)].live) {
-      throw std::out_of_range(
-          "PlacementPolicy::rank_hosts returned an invalid host index");
-    }
-  }
-}
-
 void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   // A tripped density-stop latch rejects before placement: no host is
   // consulted, no policy state advances, and the rejection counts only in
@@ -334,12 +301,12 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
     return;
   }
 
-  // Retry-on-reject: walk the policy's ranked candidates and admit on the
-  // first host whose RAM accepts the tenant. Only a full walk with every
-  // live host refusing is an OOM — attributed to the *last* host tried —
-  // and only then may the density-stop latch trip. Incremental policies
-  // are walked lazily (one heap pop per candidate actually tried); legacy
-  // policies get the snapshot-and-sort path.
+  // Retry-on-reject: walk the policy's candidates and admit on the first
+  // host whose RAM accepts the tenant. Only a full walk with every live
+  // host refusing is an OOM — attributed to the *last* host tried — and
+  // only then may the density-stop latch trip. Built-in policies pop
+  // candidates lazily (one heap pop per host actually tried); a policy
+  // that only ranks snapshots is served by the default walk.
   int first_choice = -1;
   int admitted_host = -1;
   int last_tried = -1;
@@ -356,7 +323,7 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
   };
   if (shards_.size() == 1) {
     try_host(0);
-  } else if (incremental_placement_) {
+  } else {
     PlacementRequest req;
     req.tenant_id = t.id;
     req.platform_id = t.platform_id;
@@ -377,14 +344,6 @@ void FleetEngine::handle_arrival(Tenant& t, const Scenario& s) {
     }
     if (first_choice < 0) {
       throw std::logic_error("PlacementPolicy::walk_next emitted no hosts");
-    }
-  } else {
-    rank_candidates(t, s);
-    for (const int host : ranked_) {
-      try_host(host);
-      if (admitted_host >= 0) {
-        break;
-      }
     }
   }
   if (admitted_host < 0) {
@@ -440,16 +399,10 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   t.platform->boot_total(t.clock, t.rng);
   const sim::Nanos boot_ns = t.clock.now() - arrival;
 
-  auto& cache = sh.host->page_cache();
-  const std::uint64_t misses =
-      cache.access_range(image_file_id(t.platform_id), 0, s.image_bytes);
-  sim::Nanos image_ns = 0;
-  if (misses > 0) {
-    image_ns =
-        sh.host->nvme().read(misses * hostk::PageCache::kPageSize, t.rng);
-  } else {
-    image_ns = sim::micros(50);  // fully cache-resident image
-  }
+  const std::optional<sim::Nanos> pulled =
+      sh.read_through(image_file_id(t.platform_id), s.image_bytes, t.rng);
+  // A fully cache-resident image still costs 50us.
+  const sim::Nanos image_ns = pulled.value_or(sim::micros(50));
 
   // Floor the boot at the cache-resident image cost. It never binds (the
   // image term alone is >= 50us in both branches), but it turns "boots are
@@ -464,7 +417,7 @@ sim::Nanos FleetEngine::boot_physics(Shard& sh, Tenant& t, const Scenario& s,
   // on this host; a fully cache-resident boot touches neither the device
   // nor the wire. Stalls only ever add time, so the kBootFloorNs horizon
   // still holds.
-  if (misses > 0) {
+  if (pulled) {
     if (sh.rollup.host < static_cast<int>(degrades_.size())) {
       total = degraded_completion(
                   degrades_[static_cast<std::size_t>(sh.rollup.host)],
@@ -708,40 +661,25 @@ sim::Nanos FleetEngine::program_op_cost(Tenant& t, const ProgramOp& op,
   bool touched_disk = false;
   switch (cls) {
     case OpClass::kFile:
-      if (payload > 0 && !op_is_write(op.sc)) {
-        // Reads walk the host page cache; only misses touch the NVMe.
-        auto& cache = sh.host->page_cache();
-        const std::uint64_t misses = cache.access_range(
-            program_file_id(*this, t.id, t.program, op.shared_file), 0,
-            payload);
-        if (misses > 0) {
-          cost += sh.host->nvme().read(misses * hostk::PageCache::kPageSize,
-                                       t.rng);
+    case OpClass::kMemory:
+      // File reads and mmap-backed data walk the host page cache; only
+      // misses touch the NVMe. File writes are buffered: they dirty the
+      // cache for free and pay the device only when an explicit fsync
+      // flushes them.
+      if (payload > 0 && (cls == OpClass::kMemory || !op_is_write(op.sc))) {
+        if (const auto read = sh.read_through(
+                program_file_id(t.id, t.program, op.shared_file), payload,
+                t.rng)) {
+          cost += *read;
           touched_disk = true;
         }
       }
-      // Writes are buffered: they dirty the cache for free and pay the
-      // device only when an explicit fsync flushes them.
       break;
     case OpClass::kSync:
       cost += sh.host->nvme().write(
           std::max<std::uint64_t>(payload, hostk::PageCache::kPageSize),
           t.rng);
       touched_disk = true;
-      break;
-    case OpClass::kMemory:
-      if (payload > 0) {
-        // mmap-backed data faults through the same cache/device path.
-        auto& cache = sh.host->page_cache();
-        const std::uint64_t misses = cache.access_range(
-            program_file_id(*this, t.id, t.program, op.shared_file), 0,
-            payload);
-        if (misses > 0) {
-          cost += sh.host->nvme().read(misses * hostk::PageCache::kPageSize,
-                                       t.rng);
-          touched_disk = true;
-        }
-      }
       break;
     case OpClass::kNetwork:
       if (payload > 0) {
@@ -894,7 +832,7 @@ void FleetEngine::release_tenant(Shard& sh, Tenant& t, const Scenario& s) {
 }
 
 void FleetEngine::publish_host(Shard& sh) {
-  if (!incremental_placement_ || !sh.live) {
+  if (policy_ == nullptr || !sh.live) {
     return;
   }
   HostState state;
@@ -909,7 +847,7 @@ void FleetEngine::publish_host(Shard& sh) {
 }
 
 void FleetEngine::notify_platform_count(Shard& sh, platforms::PlatformId id) {
-  if (!incremental_placement_ || !sh.live) {
+  if (policy_ == nullptr || !sh.live) {
     return;
   }
   policy_->platform_count_changed(sh.rollup.host, id,
@@ -1140,7 +1078,7 @@ void FleetEngine::drain_shard(int index, const Scenario& s, sim::Nanos now) {
   sh.live = false;
   --live_hosts_;
   sh.rollup.drained = true;
-  if (incremental_placement_) {
+  if (policy_ != nullptr) {
     policy_->host_removed(index);
   }
   // Re-place every tenant this host still held, as churn-style
@@ -1165,7 +1103,6 @@ void FleetEngine::drain_shard(int index, const Scenario& s, sim::Nanos now) {
   if (provisioner_ != nullptr) {
     provisioner_->retire_host(index);
   }
-  (void)s;
 }
 
 void FleetEngine::handle_host_event(const Event& e, const Scenario& s) {
@@ -1334,7 +1271,7 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
   sh.live = false;
   --live_hosts_;
   sh.rollup.crashed = true;
-  if (incremental_placement_) {
+  if (policy_ != nullptr) {
     policy_->host_removed(index);
   }
   // Victims die mid-phase: unlike a graceful drain there is no per-tenant
@@ -1347,10 +1284,25 @@ void FleetEngine::crash_shard(int index, const ResolvedFault& f,
     if (t.host != index || !t.holds_resources) {
       continue;
     }
-    if (t.in_flight == Tenant::InFlight::kBoot) {
-      // Crash-during-boot: the partial boot dies with the host. Nothing
-      // carries over — the re-arrival faces admission again and starts a
-      // fresh boot against a cold image cache.
+    if (t.crash_fault >= 0) {
+      // Re-stranded before its re-boot: this fault takes the victim over,
+      // so it resolves exactly once, against the crash it must recover
+      // from. The earlier verdict (already in the report) gives it up,
+      // with the partial boot it counted.
+      auto& earlier = report_.recovery[static_cast<std::size_t>(
+          recovery_slot_[static_cast<std::size_t>(t.crash_fault)])];
+      --earlier.victims;
+      --report_.crash_victims;
+      if (t.crash_boot_lost) {
+        --earlier.boots_lost;
+        --report_.boots_lost;
+      }
+    }
+    // Crash-during-boot: the partial boot dies with the host. Nothing
+    // carries over — the re-arrival faces admission again and starts a
+    // fresh boot against a cold image cache.
+    t.crash_boot_lost = t.in_flight == Tenant::InFlight::kBoot;
+    if (t.crash_boot_lost) {
       ++v.boots_lost;
     }
     t.in_flight = Tenant::InFlight::kNone;
@@ -1443,15 +1395,9 @@ sim::Nanos FleetEngine::phase_cost(Tenant& t, WorkloadClass w,
       break;
     }
     case WorkloadClass::kIo: {
-      auto& cache = sh.host->page_cache();
-      const std::uint64_t misses = cache.access_range(
-          0xD47A'0000ull + t.id, 0, s.io_bytes_per_phase);
-      sim::Nanos io_ns = 0;
-      if (misses > 0) {
-        io_ns =
-            sh.host->nvme().read(misses * hostk::PageCache::kPageSize, t.rng);
-      }
-      cost = base / 5 + io_ns;
+      cost = base / 5 + sh.read_through(0xD47A'0000ull + t.id,
+                                        s.io_bytes_per_phase, t.rng)
+                            .value_or(0);
       break;
     }
     case WorkloadClass::kNetwork: {
@@ -1755,7 +1701,6 @@ FleetReport FleetEngine::run(const Scenario& s) {
   if (policy_ != nullptr) {
     policy_->reset();
   }
-  incremental_placement_ = policy_ != nullptr && policy_->incremental();
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     init_shard(shards_[i], static_cast<int>(i), s);

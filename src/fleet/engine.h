@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -140,6 +141,9 @@ class FleetEngine {
     ProgramFleetStats* pstats = nullptr;
     /// Admitted and not yet released (teardown or drain migration).
     bool holds_resources = false;
+    /// The crash in crash_fault (below) caught this tenant mid-boot: that
+    /// verdict's boots_lost counts it.
+    bool crash_boot_lost = false;
     /// CPU contention factor captured at the admitting arrival, applied by
     /// the deferred kBootPhys event (cluster-capable runs only).
     double boot_factor = 1.0;
@@ -149,7 +153,8 @@ class FleetEngine {
     /// Fault id whose crash killed this tenant; -1 outside recovery. Set
     /// when a crash re-injects the victim's arrival, cleared when the
     /// recovery resolves (re-boot served -> replace_ms sample, or
-    /// rejection -> permanently lost).
+    /// rejection -> permanently lost). A later crash that strands the
+    /// victim again before its re-boot takes it over.
     int crash_fault = -1;
   };
 
@@ -157,8 +162,8 @@ class FleetEngine {
   /// charges against it. Single-host runs have exactly one shard.
   struct Shard {
     core::HostSystem* host = nullptr;
-    /// False once drained: excluded from placement snapshots and admission
-    /// walks; its rollup stays in the report.
+    /// False once drained or crashed: removed from the placement policy,
+    /// so admission walks skip it; its rollup stays in the report.
     bool live = true;
     /// KSM run refcounts of the guests this host holds. It keeps no
     /// per-tenant record: teardown rebuilds a guest's runs to drop them.
@@ -173,7 +178,7 @@ class FleetEngine {
     double cpu_demand = 0.0;  // vCPUs demanded by in-flight activity
     std::uint64_t non_ksm_resident = 0;
     std::uint64_t ram_cap = 0;
-    /// Active tenants per platform, feeding HostView::same_platform_tenants.
+    /// Active tenants per platform, pushed to the placement policy.
     std::array<int, platforms::kPlatformIdSlots> tenants_by_platform{};
     HostRollup rollup;
     std::uint64_t cache_hits0 = 0;   // host-model counters at run start
@@ -185,6 +190,13 @@ class FleetEngine {
 
     /// CPU contention multiplier at this host's current activity.
     double cpu_factor() const;
+
+    /// Read `bytes` of page-cache file `file` through this host's cache;
+    /// only the misses reach the NVMe, whose read draws on `rng`. Returns
+    /// the device time, or nullopt when the cache served every page (no
+    /// draw).
+    std::optional<sim::Nanos> read_through(std::uint64_t file,
+                                           std::uint64_t bytes, sim::Rng& rng);
 
     /// This host's instance of platform `id`; std::out_of_range if the
     /// scenario's mix never built one.
@@ -256,17 +268,11 @@ class FleetEngine {
   /// ledger.
   bool admit(Shard& sh, Tenant& t, const Scenario& s);
 
-  /// Fill ranked_ with the live-host candidate walk for an arriving
-  /// tenant: the policy's ranking in cluster mode, the single live shard
-  /// otherwise. Legacy (snapshot + sort) path — incremental policies are
-  /// walked lazily instead (see handle_arrival).
-  void rank_candidates(const Tenant& t, const Scenario& s);
-
-  /// Push one live shard's current state to an incremental policy (no-op
-  /// otherwise). Called after every event that changed the shard.
+  /// Push one live shard's current state to the placement policy (no-op
+  /// without one). Called after every event that changed the shard.
   void publish_host(Shard& sh);
 
-  /// Tell an incremental policy that `sh`'s tenant count for `id` moved.
+  /// Tell the placement policy that `sh`'s tenant count for `id` moved.
   void notify_platform_count(Shard& sh, platforms::PlatformId id);
 
   /// Shard-local half of a release: in-flight CPU/NIC demand, KSM
@@ -341,15 +347,8 @@ class FleetEngine {
   /// Dense tenant table: ids are assigned 0..N-1, so the event loop indexes
   /// directly instead of hashing per event.
   std::vector<Tenant> tenants_;
-  std::vector<HostView> views_;  // recycled placement snapshot storage
-  std::vector<int> ranked_;      // recycled candidate-walk storage
   hap::EpssModel epss_;
   FleetReport report_;
-
-  /// True when policy_ maintains host orderings incrementally: the engine
-  /// pushes state deltas instead of building per-arrival snapshots, and
-  /// the admission walk pulls candidates lazily in O(log M) each.
-  bool incremental_placement_ = false;
 
   /// by_platform stats resolved once per PlatformId instead of one
   /// string-keyed map lookup per boot (ids and names are 1:1 per run).

@@ -5,9 +5,11 @@
 // placement, autoscaler, fault schedule; heterogeneous cells are fine),
 // a single TrafficSpec describes the global tenant population, and a
 // pluggable RoutingPolicy decides which cell each arrival enters. The
-// router speaks the exact RankingPolicy protocol PlacementPolicy speaks
-// for hosts (placement.h), reusing the IncrementalRanking / HeapWalkRanking
-// indexed-heap machinery, so cell selection is O(log K) per arrival.
+// router is the RankingPolicy placement.h defines for hosts, over cells:
+// the built-in routers are placement's round-robin, most-free-RAM and
+// co-tenant-affinity rules and heap walks, instantiated for CellState, so
+// cell selection is O(log K) per arrival. A custom router implements
+// rank_cells only and is walked through the default snapshot walk.
 //
 // Execution model: the federation routes the whole population up front on
 // *projected* cell load (the router never sees inside a cell mid-run),
@@ -64,9 +66,8 @@ std::vector<RoutingKind> all_routing_kinds();
 
 /// One cell's load as the router tracks it: aggregate free RAM projected
 /// from routed-tenant estimates, never a peek inside the cell's engine.
-/// The request-independent half of the incremental protocol (what
-/// cell_updated pushes); per-platform routed counts travel through
-/// platform_count_changed.
+/// This is what cell_updated pushes; per-platform routed counts travel
+/// through platform_count_changed.
 struct CellState {
   int index = 0;
   /// Aggregate RAM across the cell's initial hosts (admission-effective:
@@ -77,27 +78,20 @@ struct CellState {
   int active_tenants = 0;
 };
 
-/// Snapshot row for the rank_cells spec path: CellState plus the one
-/// request-dependent quantity.
-struct CellView {
-  int index = 0;
-  std::uint64_t ram_cap_bytes = 0;
-  std::uint64_t resident_bytes = 0;
-  int active_tenants = 0;
-  /// Tenants of the arriving tenant's platform currently routed here.
-  int same_platform_tenants = 0;
-};
+/// Snapshot row of rank_cells: CellState plus the arriving tenant's
+/// platform count (tenants of that platform currently routed here).
+using CellView = RankedView<CellState>;
 
 /// The arriving tenant looks the same to a router as to a placement
 /// policy: the request type is shared outright.
 using RouteRequest = PlacementRequest;
 
 /// Cell selection for a federation. Same contract as PlacementPolicy one
-/// level down: rank_cells is the snapshot-sort spec path every custom
-/// policy must implement; built-in policies also implement the shared
-/// incremental protocol (RankingPolicy, placement.h) and are served
-/// O(log K) walks. The cell_updated/cell_removed spellings alias the
-/// generic protocol names so federation call sites read naturally.
+/// level down: rank_cells is the only method a custom router must
+/// implement (the federation walks it through the default walk); the
+/// built-ins serve O(log K) heap walks. The cell_updated/cell_removed
+/// spellings alias the generic protocol names so federation call sites
+/// read naturally.
 class RoutingPolicy : public RankingPolicy<CellState, RouteRequest> {
  public:
   /// Rank cells from most to least preferred, appending CellView::index
@@ -115,6 +109,13 @@ class RoutingPolicy : public RankingPolicy<CellState, RouteRequest> {
 
   void cell_updated(const CellState& state) { target_updated(state); }
   void cell_removed(int cell) { target_removed(cell); }
+
+ protected:
+  void rank_snapshot(const RouteRequest& req,
+                     const std::vector<CellView>& cells,
+                     std::vector<int>& ranked) final {
+    rank_cells(req, cells, ranked);
+  }
 };
 
 std::unique_ptr<RoutingPolicy> make_routing(RoutingKind kind);

@@ -1,6 +1,6 @@
 // Indexed d-ary min-heap over small integer ids.
 //
-// The incremental placement policies (placement.cpp) keep every live host
+// The built-in rankings (placement.h HeapWalkRanking) keep every live host
 // in one of these, ordered by the policy's comparator over engine-pushed
 // host state. An admission walk pops candidates lazily — O(log M) per
 // candidate actually tried instead of a full O(M log M) sort per arrival —

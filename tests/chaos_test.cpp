@@ -380,6 +380,46 @@ TEST(ChaosTest, RecoveryVerdictTotalsAreConsistent) {
   }
 }
 
+TEST(ChaosTest, RestrandedVictimResolvesOnceUnderTheLaterCrash) {
+  // Host 0 crashes at 40 ms and its victims re-arrive 1-2 ms later; some
+  // land on host 1, which crashes at 45 ms before they finish re-booting.
+  // Each such victim belongs to the later crash only, so every verdict and
+  // the fleet totals balance: victims == readmitted + lost.
+  Scenario s = Scenario::cluster_storm(600, 3, PlacementKind::kRoundRobin);
+  Fault first = crash_at(sim::millis(40), 0);
+  Fault second = crash_at(sim::millis(45), 1);
+  for (Fault* f : {&first, &second}) {
+    f->restart_delay = sim::millis(1);
+    f->restart_jitter = sim::millis(1);
+  }
+  s.faults.timed = {first, second};
+  const FleetReport r = run_cluster(s);
+
+  ASSERT_EQ(r.recovery.size(), 2u);
+  int victims = 0;
+  int boots_lost = 0;
+  for (const auto& v : r.recovery) {
+    EXPECT_GT(v.victims, 0) << "fault " << v.fault;
+    EXPECT_EQ(v.victims, v.readmitted + v.lost) << "fault " << v.fault;
+    EXPECT_LE(v.boots_lost, v.victims) << "fault " << v.fault;
+    victims += v.victims;
+    boots_lost += v.boots_lost;
+  }
+  EXPECT_EQ(r.crash_victims, victims);
+  EXPECT_EQ(r.crash_victims, r.crash_readmitted + r.crash_lost);
+  EXPECT_EQ(r.boots_lost, boots_lost);
+  EXPECT_EQ(r.replace_ms.size(), static_cast<std::size_t>(r.crash_readmitted));
+  // Only a tenant that is really lost carries a fault stamp.
+  int stamped = 0;
+  for (const auto& t : r.tenants) {
+    stamped += t.lost_to_fault >= 0 ? 1 : 0;
+    if (t.lost_to_fault >= 0) {
+      EXPECT_FALSE(t.admitted);
+    }
+  }
+  EXPECT_EQ(stamped, r.crash_lost);
+}
+
 // --- Drain/crash same-instant hardening -------------------------------------
 
 TEST(ChaosTest, DrainThenCrashSameInstantIsSafe) {

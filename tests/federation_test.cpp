@@ -1,6 +1,7 @@
 // Tests for the federation layer (src/fleet/federation.h): the 1-cell
 // degenerate federation rendering byte-identical to Cluster, routing
-// policy rank orderings (spec path) and walk/spec equivalence, forced
+// policy rank orderings (spec path; walk/spec equivalence is swept in
+// placement_equivalence_test), forced
 // inter-cell spills landing tenants a lone tiny cell would reject,
 // spill-sum bookkeeping, cell-outage victims re-routing through the
 // global router, and byte-identity of K-cell runs across double runs
@@ -120,43 +121,6 @@ TEST(FederationTest, PlatformAffinityPrefersCoTenantsThenFreeRam) {
   std::vector<int> ranked;
   r->rank_cells(req, cells, ranked);
   EXPECT_EQ(ranked, (std::vector<int>{2, 1, 0}));
-}
-
-TEST(FederationTest, IncrementalWalkMatchesRankCellsSpec) {
-  // Push identical state through both paths of each built-in policy and
-  // pin walk order == snapshot-sort order (same invariant
-  // placement_equivalence_test pins for hosts, one level up).
-  const std::vector<CellView> cells = {view(0, 100, 40, 4, 1),
-                                       view(1, 100, 10, 1, 0),
-                                       view(2, 80, 20, 2, 2)};
-  for (const RoutingKind kind : fleet::all_routing_kinds()) {
-    auto spec = make_routing(kind);
-    auto inc = make_routing(kind);
-    spec->reset();
-    inc->reset();
-    ASSERT_TRUE(inc->incremental()) << fleet::routing_kind_name(kind);
-    for (const CellView& v : cells) {
-      fleet::CellState st;
-      st.index = v.index;
-      st.ram_cap_bytes = v.ram_cap_bytes;
-      st.resident_bytes = v.resident_bytes;
-      st.active_tenants = v.active_tenants;
-      inc->cell_updated(st);
-      inc->platform_count_changed(v.index,
-                                  platforms::PlatformId::kQemuKvm,
-                                  v.same_platform_tenants);
-    }
-    RouteRequest req;
-    req.platform_id = platforms::PlatformId::kQemuKvm;
-    std::vector<int> ranked;
-    spec->rank_cells(req, cells, ranked);
-    inc->walk_begin(req);
-    std::vector<int> walked;
-    for (int c = inc->walk_next(); c >= 0; c = inc->walk_next()) {
-      walked.push_back(c);
-    }
-    EXPECT_EQ(walked, ranked) << fleet::routing_kind_name(kind);
-  }
 }
 
 // --- Inter-cell spill -----------------------------------------------------

@@ -117,12 +117,33 @@ class GateTest(unittest.TestCase):
         del find(self.fresh, "degrade-storm")["events"]
         self.assertEqual(self.gate().returncode, 2)
 
-    def test_changed_counter_passes_with_note(self):
+    def test_changed_counter_fails(self):
         find(self.fresh, "federation-storm", variant="platform-affinity")[
             "counters"]["spills"] += 1
         result = self.gate()
-        self.assertEqual(result.returncode, 0, result.stdout)
-        self.assertIn("note: spills changed", result.stdout)
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("BEHAVIOUR CHANGE: spills", result.stdout)
+
+    def test_changed_events_count_fails(self):
+        # One more event keeps events/s far above the floor: only the exact
+        # behaviour rule can catch it.
+        find(self.fresh, "cluster-storm", "10000x4", "least-loaded")[
+            "events"] += 1
+        result = self.gate()
+        self.assertEqual(result.returncode, 1, result.stdout)
+        self.assertIn("BEHAVIOUR CHANGE: events", result.stdout)
+        self.assertNotIn("THROUGHPUT REGRESSION", result.stdout)
+
+    def test_added_or_dropped_counter_fails(self):
+        for how in ("added", "dropped"):
+            with self.subTest(counter=how):
+                fresh = copy.deepcopy(self.committed)
+                counters = find(fresh, "program-storm")["counters"]
+                if how == "added":
+                    counters["new_counter"] = 0
+                else:
+                    counters.pop(sorted(counters)[0])
+                self.assertEqual(self.gate(fresh=fresh).returncode, 1)
 
 
 class FleetScaleCliTest(unittest.TestCase):

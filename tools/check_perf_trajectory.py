@@ -13,14 +13,16 @@ for every committed record the gate requires:
     committed events/s, which catches "each event got slower" even when a
     run also processes fewer events;
   - every invariant, committed or fresh, present and true in the fresh
-    record: those are the claims a case exists to demonstrate.
+    record: those are the claims a case exists to demonstrate;
+  - the same events count and exactly the same counters (same names, same
+    values): every run is deterministic per (case, shape, variant), so any
+    difference is a behaviour change. A change that means to move
+    behaviour re-pins BENCH_fleet_scale.json with the CI command.
 
-A changed counter only prints a behaviour-change note: counters are
-deterministic per (case, shape, variant), but the golden and determinism
-tests pin behaviour, not this gate. MAX_RATIO is deliberately tolerant
-(shared CI runners are noisy); the gate exists to catch "something went
-quadratic again", not single-digit-percent drift. Fresh records with no
-committed counterpart are not gated.
+MAX_RATIO is deliberately tolerant (shared CI runners are noisy); the
+timing rules exist to catch "something went quadratic again", not
+single-digit-percent drift. Fresh records with no committed counterpart
+are not gated.
 
 Usage:
   check_perf_trajectory.py FRESH.json COMMITTED.json
@@ -84,7 +86,7 @@ def main():
 
     failed = False
     print(f"perf trajectory (gate: {MAX_RATIO:.1f}x wall, "
-          f"1/{MAX_RATIO:.1f} events/s):")
+          f"1/{MAX_RATIO:.1f} events/s, exact counters):")
     for key, base in committed_records.items():
         label = " ".join(key)
         fresh = fresh_records.get(key)
@@ -111,9 +113,9 @@ def main():
         counters = dict(fresh.get("counters", {}), events=events)
         for name in sorted(set(base_counters) | set(counters)):
             if counters.get(name) != base_counters.get(name):
-                print(f"  {label:<44} note: {name} changed "
-                      f"{base_counters.get(name)} -> {counters.get(name)} "
-                      f"(behaviour change)")
+                print(f"  {label:<44} BEHAVIOUR CHANGE: {name} "
+                      f"{base_counters.get(name)} -> {counters.get(name)}")
+                failed = True
         invariants = fresh.get("invariants", {})
         for name in sorted(set(base.get("invariants", {})) | set(invariants)):
             if invariants.get(name) is not True:
